@@ -7,7 +7,8 @@ machines because a core's time depends on its bus's width.
 from __future__ import annotations
 
 from math import ceil
-from typing import Sequence
+from operator import ge
+from typing import List, Sequence
 
 from repro.exceptions import ConfigurationError
 from repro.schedule.makespan import (
@@ -67,6 +68,11 @@ def placement_lower_bound(
     achieve is ``min_j (loads[j] + times[core][j])``; the makespan is
     at least the largest of these.  Tighter than the area bound when
     one oversized core dominates (the p31108 situation).
+
+    This is the reference definition.  The exact solver
+    (:mod:`repro.assign.exact`) evaluates the same value per node over
+    the rows :func:`suffix_frontiers` keeps, and the property tests
+    hold the two equal.
     """
     bound = max(loads) if loads else 0
     for core in remaining:
@@ -78,10 +84,38 @@ def placement_lower_bound(
     return bound
 
 
+def suffix_frontiers(
+    rows: Sequence[Sequence[int]],
+) -> List[List[Sequence[int]]]:
+    """Per depth ``k``, the rows of ``rows[k:]`` no other row dominates.
+
+    A row *dominates* another when it is at least as large on every
+    bus (of equal rows one copy is kept).  A dominated core never
+    sets the maximum in :func:`placement_lower_bound`, so that bound
+    over ``frontiers[k]`` equals the bound over ``rows[k:]``.  Built
+    back to front in O(n·|F|·B) for n rows, frontier size |F| and B
+    buses: a new row either is dominated by the current frontier
+    (which then carries over unchanged) or joins it and evicts the
+    rows it dominates.  The last entry, ``frontiers[n]``, is empty.
+    """
+    frontier: List[Sequence[int]] = []
+    frontiers = [frontier]
+    for row in reversed(rows):
+        if not any(all(map(ge, other, row)) for other in frontier):
+            frontier = [row] + [
+                other for other in frontier
+                if not all(map(ge, row, other))
+            ]
+        frontiers.append(frontier)
+    frontiers.reverse()
+    return frontiers
+
+
 __all__ = [
     "column_lower_bound",
     "paw_lower_bound",
     "partial_lower_bound",
     "placement_lower_bound",
     "saturation_lower_bound",
+    "suffix_frontiers",
 ]

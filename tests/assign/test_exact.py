@@ -7,6 +7,7 @@ import pytest
 from repro.assign.core_assign import core_assign
 from repro.assign.exact import exact_assign
 from repro.exceptions import ConfigurationError
+from repro.wrapper.pareto import build_time_tables, times_matrix
 
 
 def brute_force_makespan(times, num_buses):
@@ -95,6 +96,29 @@ class TestBudgets:
     def test_nodes_counted(self, fig2_times, fig2_widths):
         exact = exact_assign(fig2_times, fig2_widths)
         assert exact.nodes_explored >= 1
+
+    def test_proof_terminates_by_proof(self, fig2_times, fig2_widths):
+        exact = exact_assign(fig2_times, fig2_widths)
+        assert exact.terminated_by == "proof"
+        assert exact.optimal
+
+    def test_node_limit_terminates_by_nodes(
+        self, fig2_times, fig2_widths
+    ):
+        exact = exact_assign(fig2_times, fig2_widths, node_limit=1)
+        assert exact.terminated_by == "nodes"
+        assert not exact.optimal
+
+    def test_deadline_terminates_by_time(self, p93791):
+        # The clock is read every 4096 nodes; this partition needs
+        # ~175k nodes to prove, so a tiny budget always fires first.
+        tables = build_time_tables(p93791, 4)
+        widths = [4, 4, 4, 4]
+        times = times_matrix(list(tables.values()), widths)
+        exact = exact_assign(times, widths, time_limit=1e-9)
+        assert exact.terminated_by == "time"
+        assert not exact.optimal
+        assert exact.nodes_explored == 4096
 
     def test_invalid_budgets(self, fig2_times, fig2_widths):
         with pytest.raises(ConfigurationError):

@@ -170,14 +170,29 @@ class TestAgainstRealService:
 
         with connect(ipc) as client:
             events = []
+            # The connection is dead before the stream starts, so the
+            # first request always has to reconnect.
+            killed = [client._sock]
+            client._sock.shutdown(socket.SHUT_RDWR)
             for event in client.events(
                 job_id, timeout=120, reconnect=True
             ):
                 events.append(event)
-                # Kill the connection after every event; the client
-                # reconnects and resumes at the cursor.
-                client._sock.shutdown(socket.SHUT_RDWR)
+                # Kill each connection after its first event; the
+                # client reconnects and resumes at the cursor.  The
+                # job is finished, so the server may push the rest of
+                # the stream in one burst that the client's buffered
+                # reader already holds; it then yields from the
+                # buffer on the same (dead) socket, which is correct,
+                # and a second shutdown of that socket would raise
+                # ENOTCONN once the server has closed its end.  (The
+                # server-side drop that always forces a mid-stream
+                # resume is pinned in test_chaos.py.)
+                if not any(sock is client._sock for sock in killed):
+                    killed.append(client._sock)
+                    client._sock.shutdown(socket.SHUT_RDWR)
             assert events == expected
+            assert len(killed) >= 2  # the client did reconnect
 
     def test_mid_run_kill_against_live_grid(self, ipc):
         # The same protocol against a job still *running* when the
