@@ -11,12 +11,24 @@ the differential suite in ``tests/engine/test_kernel.py``):
   into one flat width-indexed array.  Partitions share widths, so the
   per-width *columns* the assignment loop reads are memoized: each is
   materialized exactly once per sweep, with its max/sum aggregates.
-* :func:`kernel_assign` — the Fig. 1 heuristic rewritten over those
-  columns: single-scan bus and core picks, precomputed per-bus
-  tie-break reference, swap-pop core removal, O(1) abort check, and a
-  reusable :class:`KernelWorkspace` so the per-partition loop
-  allocates nothing but the final result (only built on completion,
-  which pruning makes rare).
+* :func:`sweep_partitions` — the sweep itself: one walker that
+  enumerates a canonical rank range of one TAM count and scores each
+  partition in the same pass.  Per-bus (column, pick order) contexts
+  sit on per-depth stacks, so a partition costs two context lookups
+  (its last two parts) rather than B; the greedy's first round needs
+  no min-load scan; and lower-bound-pruned loop tails and subtrees are
+  counted, not visited.  Both the serial sweep
+  (:func:`repro.partition.evaluate.partition_evaluate`) and the shard
+  worker (:func:`repro.partition.shard.sweep_shard`) run on it; the
+  pre-walker loop is kept as the oracle in
+  ``tests/partition/_sweep_reference.py`` (DESIGN.md §12).
+* :func:`sweep_assign` / :func:`kernel_assign` — the same greedy for
+  one partition in any bus order (search evals, the ``increment``
+  ablation): single-scan bus and core picks, precomputed per-bus
+  tie-break reference, O(1) abort check plus a partial area bound, and
+  a reusable :class:`KernelWorkspace` so the loop allocates nothing
+  but the final result (only built on completion, which pruning
+  makes rare).
 * :meth:`DenseTimeMatrix.lower_bound` — an admissible O(1) partition
   bound (:func:`repro.assign.lower_bounds.column_lower_bound` on the
   widest column's cached aggregates).  A partition whose bound
@@ -34,17 +46,22 @@ the differential suite in ``tests/engine/test_kernel.py``):
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.assign.core_assign import CoreAssignOutcome, reference_buses
 from repro.assign.lower_bounds import column_lower_bound
 from repro.exceptions import ConfigurationError
 from repro.obs import span as _obs_span
+from repro.partition.count import count_partitions, count_partitions_min
 from repro.soc.core import Core
 from repro.tam.assignment import AssignmentResult
 from repro.wrapper.chain import WrapperDesign
 from repro.wrapper.design import design_wrapper
 from repro.wrapper.pareto import TimeTable
+
+
+#: One bus's (column, Line 13-16 pick order).
+BusContext = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
 class DenseTimeMatrix:
@@ -63,7 +80,7 @@ class DenseTimeMatrix:
 
     __slots__ = (
         "num_cores", "total_width", "_flat", "_columns", "_stats",
-        "_orders", "_contexts",
+        "_orders", "_contexts", "_sums",
     )
 
     def __init__(
@@ -96,12 +113,12 @@ class DenseTimeMatrix:
         #: Line 13-16 selection collapses to "first unassigned core in
         #: this order", O(1) amortized per step.
         self._orders: Dict[Tuple[int, Optional[int]], Tuple[int, ...]] = {}
-        #: (width, reference width) → (column, pick order), the fused
-        #: per-bus lookup the sweep loop performs once per bus.
-        self._contexts: Dict[
-            Tuple[int, Optional[int]],
-            Tuple[Tuple[int, ...], Tuple[int, ...]],
-        ] = {}
+        #: [width][reference width or 0] → (column, pick order), the
+        #: fused per-bus lookup — a table, so the sweep walker can
+        #: probe it by index (built on first use).
+        self._contexts: Optional[List[List[Optional[BusContext]]]] = None
+        #: width → column sum (index 0 unused), built on first use.
+        self._sums: Optional[List[int]] = None
 
     def time(self, core: int, width: int) -> int:
         """Core ``core``'s (0-based) testing time at ``width``."""
@@ -153,10 +170,11 @@ class DenseTimeMatrix:
         The bound depends on a partition only through its largest
         part and its bus count — and it is monotone non-increasing in
         the largest part (wider columns are elementwise faster).
-        The sharded sweep's merge exploits both facts to count
-        lower-bound-pruned partitions analytically
-        (:func:`repro.partition.enumerate.count_slice_max_at_most`)
-        instead of replaying them.
+        The sweep walker (:func:`sweep_partitions`) and the sharded
+        sweep's merge exploit both facts to count lower-bound-pruned
+        partitions in bulk (:func:`lower_bound_cutoff`,
+        :func:`repro.partition.enumerate.count_slice_max_at_most`)
+        instead of testing them one by one.
         """
         max_time, total = self.column_stats(max_part)
         return column_lower_bound(max_time, total, num_buses)
@@ -194,17 +212,44 @@ class DenseTimeMatrix:
 
     def bus_context(
         self, width: int, reference_width: Optional[int]
-    ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """(column, pick order) for one bus, one dict probe when warm."""
-        key = (width, reference_width)
-        context = self._contexts.get(key)
+    ) -> BusContext:
+        """(column, pick order) for one bus, one list probe when warm."""
+        if not 1 <= width <= self.total_width:
+            raise ConfigurationError(
+                f"width {width} outside matrix range 1..{self.total_width}"
+            )
+        row = self.context_table()[width]
+        context = row[reference_width or 0]
         if context is None:
             context = (
                 self.column(width),
                 self.pick_order(width, reference_width),
             )
-            self._contexts[key] = context
+            row[reference_width or 0] = context
         return context
+
+    def context_table(self) -> List[List[Optional[BusContext]]]:
+        """``table[width][reference or 0]`` — :meth:`bus_context`'s memo.
+
+        An entry is ``None`` until :meth:`bus_context` fills it; the
+        sweep walker reads it by index and calls :meth:`bus_context`
+        on a miss.
+        """
+        if self._contexts is None:
+            self._contexts = [
+                [None] * (width + 1)
+                for width in range(self.total_width + 1)
+            ]
+        return self._contexts
+
+    def column_sums(self) -> List[int]:
+        """Column sum per width (index 0 unused), computed once."""
+        if self._sums is None:
+            self._sums = [0] + [
+                self.column_stats(width)[1]
+                for width in range(1, self.total_width + 1)
+            ]
+        return self._sums
 
     def times_for(self, widths: Sequence[int]) -> List[List[int]]:
         """Row-major N×B times for ``widths`` (the legacy layout)."""
@@ -239,7 +284,8 @@ class DenseTimeMatrix:
         self._columns.clear()
         self._stats.clear()
         self._orders.clear()
-        self._contexts.clear()
+        self._contexts = None
+        self._sums = None
 
 
 def build_dense_matrix(
@@ -266,12 +312,12 @@ def build_dense_matrix(
 
 
 class KernelWorkspace:
-    """Reusable scratch arrays for :func:`kernel_assign`.
+    """Reusable scratch arrays for the greedy assignment loop.
 
     One workspace per sweep keeps the inner loop allocation-free: the
-    loads / assignment / cursor lists are grown once and reset in
-    place per partition, and the assigned-core marks are generation-
-    stamped so resetting them costs nothing at all.
+    loads / assignment / cursor lists are grown once and overwritten
+    in place per partition, and the assigned-core marks are
+    generation-stamped so resetting them costs nothing at all.
     """
 
     __slots__ = ("_loads", "_assignment", "_cursors", "_stamps",
@@ -284,94 +330,111 @@ class KernelWorkspace:
         self._stamps: List[int] = []
         self._generation = 0
 
+    def reserve(self, num_buses: int, num_cores: int) -> None:
+        """Grow the scratch lists to fit ``num_buses`` × ``num_cores``."""
+        for scratch, size in (
+            (self._loads, num_buses), (self._cursors, num_buses),
+            (self._assignment, num_cores), (self._stamps, num_cores),
+        ):
+            if len(scratch) < size:
+                scratch.extend([0] * (size - len(scratch)))
 
-def sweep_assign(
-    matrix: DenseTimeMatrix,
+
+def _greedy(
     widths: Sequence[int],
-    best_known: Optional[int] = None,
-    workspace: Optional[KernelWorkspace] = None,
+    cols: Sequence[Sequence[int]],
+    orders: Sequence[Sequence[int]],
+    firsts: Optional[Sequence[int]],
+    best_known: Optional[int],
+    floors: Optional[Sequence[int]],
+    projected: int,
+    workspace: KernelWorkspace,
+    num_buses: int,
+    num_cores: int,
 ) -> Optional[AssignmentResult]:
-    """``Core_assign`` over dense columns; ``None`` when aborted.
+    """Lines 9-20 of Fig. 1 over prepared per-bus contexts.
 
-    The sweep-internal form of :func:`kernel_assign`: identical logic,
-    but an aborted partition returns ``None`` instead of allocating an
-    outcome object — under heavy pruning almost every partition
-    aborts, so the fast path allocates nothing.
+    ``cols[j]`` / ``orders[j]`` are bus ``j``'s column and Line 13-16
+    pick order; ``floors`` is the widest bus's column and
+    ``projected`` its sum (both only read when ``best_known`` is set).
+    ``firsts`` — given only for non-decreasing ``widths`` — holds,
+    per bus, the index where its run of equal widths starts; it
+    enables the scan-free first round below.  ``workspace`` must be
+    reserved for ``num_buses`` × ``num_cores``.  Returns ``None`` on
+    abort.
     """
-    num_buses = len(widths)
-    if num_buses == 0:
-        raise ConfigurationError("need at least one bus")
-    num_cores = matrix.num_cores
-    # Per-bus (column, Line 13-16 pick order), fused and memoized on
-    # the matrix across partitions sharing the (width, reference)
-    # pair; the reference widths fall out of the same single pass
-    # that detects sorted input.
-    cols = []
-    orders = []
-    previous_first = -1
-    run_first = 0
-    is_sorted = True
-    for j, width in enumerate(widths):
-        if j and width != widths[j - 1]:
-            if width < widths[j - 1]:
-                is_sorted = False
-                break
-            previous_first = run_first
-            run_first = j
-        column, order = matrix.bus_context(
-            width,
-            widths[previous_first] if previous_first >= 0 else None,
-        )
-        cols.append(column)
-        orders.append(order)
-    if not is_sorted:
-        references = reference_buses(widths)
-        cols = []
-        orders = []
-        for j, width in enumerate(widths):
-            reference = references[j]
-            column, order = matrix.bus_context(
-                width,
-                widths[reference] if reference >= 0 else None,
-            )
-            cols.append(column)
-            orders.append(order)
-
-    if workspace is None:
-        workspace = KernelWorkspace()
     loads = workspace._loads
-    if len(loads) < num_buses:
-        loads.extend([0] * (num_buses - len(loads)))
     cursors = workspace._cursors
-    if len(cursors) < num_buses:
-        cursors.extend([0] * (num_buses - len(cursors)))
-    for bus in range(num_buses):
-        loads[bus] = 0
-        cursors[bus] = 0
-    assignment = workspace._assignment
     stamps = workspace._stamps
-    if len(assignment) < num_cores:
-        grow = num_cores - len(assignment)
-        assignment.extend([0] * grow)
-        stamps.extend([0] * grow)
-    workspace._generation += 1
-    generation = workspace._generation
-
-    # Partial area bound state: ``projected`` is assigned work plus
-    # the floor (widest-column time) of every unassigned core — a
-    # lower bound on the final total work, so the final makespan is
-    # at least ceil(projected / B).  ``projected > area_limit`` is
-    # that test without the division.
-    floors = None
-    projected = 0
+    assignment = workspace._assignment
+    generation = workspace._generation + 1
+    workspace._generation = generation
+    limit = 0
     area_limit = 0
-    if best_known is not None:
-        widest = max(widths)
-        floors = matrix.column(widest)
-        projected = matrix.column_stats(widest)[1]
+    if floors is not None:
+        assert best_known is not None
+        limit = best_known
+        # Partial area bound state: ``projected`` is assigned work
+        # plus the floor (widest-column time) of every unassigned
+        # core — a lower bound on the final total work, so the final
+        # makespan is at least ceil(projected / B).
+        # ``projected > area_limit`` is that test without the division.
         area_limit = (best_known - 1) * num_buses
-
     remaining = num_cores
+
+    if firsts is None:
+        for bus in range(num_buses):
+            loads[bus] = 0
+            cursors[bus] = 0
+    else:
+        # The first round, scan-free.  While every assigned time is
+        # > 0, the bus a min-load scan picks (ties to the widest, then
+        # the lowest index) is the widest not-yet-loaded bus with the
+        # lowest index: loaded buses sit above the unloaded ones' 0.
+        # For sorted widths that is each run of equal widths from the
+        # widest run down, in index order.  Every bus is loaded once
+        # with its cursor at 0, so nothing needs resetting first.
+        run_end = num_buses
+        run_start = firsts[num_buses - 1]
+        bus = run_start
+        while True:
+            order = orders[bus]
+            cursor = 0
+            core = order[0]
+            while stamps[core] == generation:
+                cursor += 1
+                core = order[cursor]
+            cursors[bus] = cursor
+            stamps[core] = generation
+            assignment[core] = bus
+            best_time = cols[bus][core]
+            loads[bus] = best_time
+            if floors is not None:
+                projected += best_time - floors[core]
+                if best_time >= limit or projected > area_limit:
+                    return None
+            remaining -= 1
+            bus += 1
+            if bus == run_end:
+                if run_start == 0:
+                    break  # every bus loaded: the round is over
+                run_end = run_start
+                run_start = firsts[run_end - 1]
+                bus = run_start
+            if best_time <= 0 or not remaining:
+                # A zero time leaves its bus tied at load 0 (the scan
+                # would pick it again), and running out of cores ends
+                # the run: zero the buses the round never reached —
+                # ``[bus, run_end)`` and every run below — and let the
+                # exact scan take over from here.
+                for other in range(run_start):
+                    loads[other] = 0
+                    cursors[other] = 0
+                for other in range(bus, run_end):
+                    loads[other] = 0
+                    cursors[other] = 0
+                break
+
     while remaining:
         # Lines 10-12: min-load bus, ties to the widest, then lowest
         # index — a single scan.
@@ -411,7 +474,7 @@ def sweep_assign(
             # final time from below, and the legacy abort fires on
             # every run whose final time reaches the incumbent.
             projected += best_time - floors[core]
-            if load >= best_known or projected > area_limit:
+            if load >= limit or projected > area_limit:
                 return None
         remaining -= 1
 
@@ -422,6 +485,367 @@ def sweep_assign(
         bus_times=bus_times,
         testing_time=max(bus_times),
     )
+
+
+def sweep_assign(
+    matrix: DenseTimeMatrix,
+    widths: Sequence[int],
+    best_known: Optional[int] = None,
+    workspace: Optional[KernelWorkspace] = None,
+) -> Optional[AssignmentResult]:
+    """``Core_assign`` over dense columns; ``None`` when aborted.
+
+    The one-partition form of the sweep's greedy (:func:`kernel_assign`
+    without the outcome object): builds the per-bus contexts, then
+    runs the same routine :func:`sweep_partitions` runs.  Widths in
+    any order are accepted; sorted ones get the scan-free first round.
+    """
+    num_buses = len(widths)
+    if num_buses == 0:
+        raise ConfigurationError("need at least one bus")
+    # Per-bus (column, Line 13-16 pick order), fused and memoized on
+    # the matrix across partitions sharing the (width, reference)
+    # pair; the reference widths and run starts fall out of the same
+    # single pass that detects sorted input.
+    cols = []
+    orders = []
+    firsts: Optional[List[int]] = []
+    previous_first = -1
+    run_first = 0
+    for j, width in enumerate(widths):
+        if j and width != widths[j - 1]:
+            if width < widths[j - 1]:
+                firsts = None
+                break
+            previous_first = run_first
+            run_first = j
+        column, order = matrix.bus_context(
+            width,
+            widths[previous_first] if previous_first >= 0 else None,
+        )
+        cols.append(column)
+        orders.append(order)
+        firsts.append(run_first)
+    if firsts is None:
+        references = reference_buses(widths)
+        cols = []
+        orders = []
+        for j, width in enumerate(widths):
+            reference = references[j]
+            column, order = matrix.bus_context(
+                width,
+                widths[reference] if reference >= 0 else None,
+            )
+            cols.append(column)
+            orders.append(order)
+
+    if workspace is None:
+        workspace = KernelWorkspace()
+    workspace.reserve(num_buses, matrix.num_cores)
+    floors = None
+    projected = 0
+    if best_known is not None:
+        widest = max(widths)
+        floors = matrix.column(widest)
+        projected = matrix.column_stats(widest)[1]
+    return _greedy(
+        widths, cols, orders, firsts, best_known, floors, projected,
+        workspace, num_buses, matrix.num_cores,
+    )
+
+
+def lower_bound_cutoff(
+    matrix: DenseTimeMatrix,
+    num_buses: int,
+    max_width: int,
+    threshold: int,
+) -> int:
+    """Largest max part (<= ``max_width``) whose bound meets ``threshold``.
+
+    0 when none does.  :meth:`DenseTimeMatrix.lower_bound_for_max` is
+    monotone non-increasing in the max part, so the pruned max parts
+    form a prefix — found by binary search over the exact predicate
+    the per-partition test applies: a ``num_buses``-partition is
+    lower-bound-pruned iff its largest part is <= the cutoff.
+    """
+    if matrix.lower_bound_for_max(1, num_buses) < threshold:
+        return 0
+    lo, hi = 1, max_width
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if matrix.lower_bound_for_max(mid, num_buses) >= threshold:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+#: Called on every completed partition with its canonical rank and
+#: result; returns the abort threshold to score the rest under.
+OnComplete = Callable[[int, AssignmentResult], Optional[int]]
+
+#: Called every ``refresh_interval`` scored partitions; returns a
+#: (possibly tighter) threshold from outside the walk.
+Refresh = Callable[[], Optional[int]]
+
+
+class _Walk:
+    """State of one :func:`sweep_partitions` run.
+
+    ``widths`` / ``cols`` / ``orders`` / ``firsts`` / ``refs`` are
+    per-depth stacks: entry ``d`` holds bus ``d``'s width, column,
+    pick order, run start and reference width (0 for none), all fixed
+    by the prefix once depth ``d`` is set — the innermost loop only
+    rewrites the last two.
+    """
+
+    def __init__(
+        self,
+        matrix: DenseTimeMatrix,
+        total_width: int,
+        num_buses: int,
+        start: int,
+        stop: int,
+        on_complete: OnComplete,
+        threshold: Optional[int],
+        use_lb: bool,
+        refresh: Optional[Refresh],
+        refresh_interval: int,
+        workspace: KernelWorkspace,
+    ) -> None:
+        self.matrix = matrix
+        self.total_width = total_width
+        self.num_buses = num_buses
+        self.start = start
+        self.stop = stop
+        self.on_complete = on_complete
+        self.use_lb = use_lb
+        self.refresh = refresh
+        self.refresh_interval = refresh_interval
+        self.countdown = refresh_interval
+        self.workspace = workspace
+        self.rank = 0
+        self.completed = 0
+        self.lb_pruned = 0
+        self.threshold = threshold
+        self.cutoff = self._cutoff(threshold)
+        self.widths = [0] * num_buses
+        self.cols: List[Tuple[int, ...]] = [()] * num_buses
+        self.orders: List[Tuple[int, ...]] = [()] * num_buses
+        self.firsts = [0] * num_buses
+        self.refs = [0] * num_buses
+        #: width → column sum (the area bound's starting projection).
+        self.sums = matrix.column_sums()
+        #: [width][reference width or 0] → (column, pick order).
+        self.contexts = matrix.context_table()
+
+    def _cutoff(self, threshold: Optional[int]) -> int:
+        """Largest last part pruned by the lower bound (0: none)."""
+        if not self.use_lb or threshold is None:
+            return 0
+        return lower_bound_cutoff(
+            self.matrix, self.num_buses, self.total_width, threshold
+        )
+
+    def _set(self, depth: int, value: int) -> None:
+        """Fix bus ``depth`` to ``value`` on the per-depth stacks."""
+        widths = self.widths
+        if depth and value == widths[depth - 1]:
+            self.firsts[depth] = self.firsts[depth - 1]
+            self.refs[depth] = self.refs[depth - 1]
+        else:
+            self.firsts[depth] = depth
+            self.refs[depth] = widths[depth - 1] if depth else 0
+        widths[depth] = value
+        self.cols[depth], self.orders[depth] = self.matrix.bus_context(
+            value, self.refs[depth] or None
+        )
+
+    def descend(self, depth: int, remaining: int, minimum: int) -> None:
+        """Parts ``depth..B-1`` sum to ``remaining``, each >= ``minimum``."""
+        slots = self.num_buses - depth
+        if slots == 2:
+            self._inner(depth, remaining, minimum)
+            return
+        for value in range(minimum, remaining // slots + 1):
+            rank = self.rank
+            if rank >= self.stop:
+                return
+            rest = remaining - value
+            size = count_partitions_min(rest, slots - 1, value)
+            if rank + size <= self.start:
+                self.rank = rank + size
+                continue
+            # The subtree's largest last part: every later part at
+            # its minimum ``value``.  When even that is lower-bound-
+            # pruned, the whole subtree is (the bound is monotone in
+            # the last part), and the threshold cannot move while
+            # nothing completes — count it in one step.
+            if rest - (slots - 2) * value <= self.cutoff:
+                self.lb_pruned += (
+                    min(rank + size, self.stop) - max(rank, self.start)
+                )
+                self.rank = rank + size
+                continue
+            self._set(depth, value)
+            self.descend(depth + 1, rest, value)
+
+    def _inner(self, depth: int, remaining: int, minimum: int) -> None:
+        """The last two parts: ``value`` and ``remaining - value``."""
+        rank = self.rank
+        top = remaining // 2
+        self.rank = rank + top - minimum + 1
+        lo = minimum + max(0, self.start - rank)
+        hi = min(top, minimum + self.stop - rank - 1)
+        if lo > hi:
+            return
+        matrix = self.matrix
+        num_buses = self.num_buses
+        num_cores = matrix.num_cores
+        widths = self.widths
+        cols = self.cols
+        orders = self.orders
+        firsts = self.firsts
+        sums = self.sums
+        contexts = self.contexts
+        workspace = self.workspace
+        on_complete = self.on_complete
+        refresh = self.refresh
+        threshold = self.threshold
+        cutoff = self.cutoff
+        completed = 0
+        last_bus = depth + 1
+        if depth:
+            previous = widths[depth - 1]
+            previous_ref = self.refs[depth - 1]
+            previous_first = firsts[depth - 1]
+        else:
+            previous = previous_ref = previous_first = 0
+        for value in range(lo, hi + 1):
+            last = remaining - value
+            if last <= cutoff:
+                # The last part only shrinks from here on: the rest
+                # of the loop is lower-bound-pruned too.
+                self.lb_pruned += hi - value + 1
+                break
+            if value == previous:
+                reference = previous_ref
+                first = previous_first
+            else:
+                reference = previous
+                first = depth
+            context = contexts[value][reference]
+            if context is None:
+                context = matrix.bus_context(value, reference or None)
+            cols[depth], orders[depth] = context
+            if last == value:
+                context = contexts[last][reference]
+                last_first = first
+            else:
+                context = contexts[last][value]
+                reference = value
+                last_first = last_bus
+            if context is None:
+                context = matrix.bus_context(last, reference or None)
+            cols[last_bus], orders[last_bus] = context
+            widths[depth] = value
+            widths[last_bus] = last
+            firsts[depth] = first
+            firsts[last_bus] = last_first
+            result = _greedy(
+                widths, cols, orders, firsts, threshold,
+                None if threshold is None else context[0],
+                sums[last], workspace, num_buses, num_cores,
+            )
+            if result is not None:
+                completed += 1
+                threshold = on_complete(rank + value - minimum, result)
+                cutoff = self._cutoff(threshold)
+            if refresh is not None:
+                self.countdown -= 1
+                if self.countdown == 0:
+                    self.countdown = self.refresh_interval
+                    threshold = refresh()
+                    cutoff = self._cutoff(threshold)
+        self.completed += completed
+        self.threshold = threshold
+        self.cutoff = cutoff
+
+
+def sweep_partitions(
+    matrix: DenseTimeMatrix,
+    total_width: int,
+    num_buses: int,
+    start: int,
+    stop: int,
+    on_complete: OnComplete,
+    threshold: Optional[int] = None,
+    use_lb: bool = False,
+    refresh: Optional[Refresh] = None,
+    refresh_interval: int = 1,
+    workspace: Optional[KernelWorkspace] = None,
+) -> Tuple[int, int]:
+    """Enumerate and score canonical ranks ``[start, stop)`` in one pass.
+
+    Walks the ``num_buses``-part partitions of ``total_width`` in the
+    canonical order of :func:`repro.partition.enumerate.
+    unique_partitions` and runs ``Core_assign`` on each under the
+    current abort ``threshold`` — exactly what a loop of
+    :func:`sweep_assign` calls over ``unique_partitions`` would do,
+    without its per-partition setup: bus contexts live on per-depth
+    stacks (only the last two parts change per partition), and the
+    greedy's first round needs no min-load scan.  ``on_complete``
+    receives every completed partition's rank and result and returns
+    the threshold from then on; ``refresh`` (if given) is polled every
+    ``refresh_interval`` scored partitions for the same.
+
+    With ``use_lb`` a partition whose :meth:`DenseTimeMatrix.
+    lower_bound` meets the threshold is skipped unscored, and since
+    the bound is monotone in the last (widest) part, whole loop tails
+    and subtrees are skipped by count.  Returns ``(completed,
+    lb_pruned)``; every rank in the range is one or the other or
+    aborted.
+    """
+    if not 1 <= num_buses <= total_width <= matrix.total_width:
+        raise ConfigurationError(
+            f"cannot sweep {num_buses} buses of width {total_width} "
+            f"over a matrix covering widths up to {matrix.total_width}"
+        )
+    size = count_partitions(total_width, num_buses)
+    if not 0 <= start <= stop <= size:
+        raise ConfigurationError(
+            f"rank range [{start}, {stop}) outside the {size} "
+            f"partitions of {total_width} into {num_buses} parts"
+        )
+    if refresh_interval < 1:
+        raise ConfigurationError(
+            f"refresh_interval must be >= 1, got {refresh_interval}"
+        )
+    if workspace is None:
+        workspace = KernelWorkspace()
+    workspace.reserve(num_buses, matrix.num_cores)
+    if start == stop:
+        return 0, 0
+    if num_buses == 1:
+        # One partition, ``(total_width,)``: nothing to walk.
+        if (
+            use_lb and threshold is not None
+            and matrix.lower_bound_for_max(total_width, 1) >= threshold
+        ):
+            return 0, 1
+        result = sweep_assign(
+            matrix, (total_width,), threshold, workspace
+        )
+        if result is None:
+            return 0, 0
+        on_complete(0, result)
+        return 1, 0
+    walk = _Walk(
+        matrix, total_width, num_buses, start, stop, on_complete,
+        threshold, use_lb, refresh, refresh_interval, workspace,
+    )
+    walk.descend(0, total_width, 1)
+    return walk.completed, walk.lb_pruned
 
 
 def kernel_assign(

@@ -58,9 +58,10 @@ def count_partitions_min(total: int, parts: int, minimum: int) -> int:
 
     Subtracting ``minimum - 1`` from every part gives an ordinary
     partition, so this is ``p(total - parts*(minimum-1), parts)`` — the
-    subtree-size formula the sharded enumerator uses to skip straight
-    to a rank (:func:`repro.partition.enumerate.partitions_slice`).
-    Zero when no such partition exists.
+    subtree-size formula the sweep walker uses to skip straight to a
+    rank and to count a lower-bound-pruned subtree in one step
+    (:func:`repro.engine.kernel.sweep_partitions`).  Zero when no such
+    partition exists.
 
     >>> count_partitions_min(8, 4, 2)   # only 2+2+2+2
     1

@@ -1,17 +1,14 @@
 """Generating TAM width partitions.
 
-Two full enumerators, plus the rank machinery that lets the sharded
-partition sweep (:mod:`repro.partition.shard`) split the canonical
-enumeration into contiguous index ranges without paying for the
-skipped prefix:
-
-* :func:`partitions_slice` — the partitions with rank in
-  ``[start, stop)`` of the canonical order, skipping to ``start`` in
-  O(W·B) counting steps instead of enumerating the prefix;
-* :func:`count_slice_max_at_most` — how many partitions of rank
-  ``< stop`` have their largest part bounded, which is what turns the
-  kernel's widest-column lower bound into an *analytically* countable
-  pruning statistic.
+Two full enumerators, plus the rank counting that lets the sharded
+partition sweep (:mod:`repro.partition.shard`) merge per-range
+outcomes without replaying them:
+:func:`count_slice_max_at_most` — how many partitions of rank
+``< stop`` have their largest part bounded, which is what turns the
+kernel's widest-column lower bound into an *analytically* countable
+pruning statistic.  (Walking a rank range itself — skipping whole
+subtrees by their counted size — is fused with scoring in
+:func:`repro.engine.kernel.sweep_partitions`.)
 
 Two enumerators:
 
@@ -112,63 +109,6 @@ def increment_partitions(
                                prefix + (value,))
 
     yield from recurse(total, 1, ())
-
-
-def partitions_slice(
-    total: int, parts: int, start: int, stop: int
-) -> Iterator[Tuple[int, ...]]:
-    """Partitions of rank ``[start, stop)`` in canonical order.
-
-    Identical to ``list(unique_partitions(total, parts))[start:stop]``,
-    but the prefix is *skipped*, not enumerated: at every level of the
-    recursion whole subtrees are jumped over by their counted size
-    (:func:`~repro.partition.count.count_partitions_min`), so seeking
-    costs O(total · parts) counting steps.  This is what lets the
-    sharded sweep hand each worker a contiguous index range.
-
-    >>> list(partitions_slice(8, 4, 1, 3))
-    [(1, 1, 2, 4), (1, 1, 3, 3)]
-    >>> list(partitions_slice(8, 4, 0, 5)) == list(unique_partitions(8, 4))
-    True
-    """
-    _check(total, parts)
-    available = count_partitions(total, parts)
-    if not 0 <= start <= stop <= available:
-        raise ConfigurationError(
-            f"slice [{start}, {stop}) outside the {available} "
-            f"partitions of {total} into {parts} parts"
-        )
-    budget = stop - start
-    if budget == 0:
-        return
-
-    def recurse(
-        remaining: int, slots: int, minimum: int,
-        prefix: Tuple[int, ...], skip: int,
-    ) -> Iterator[Tuple[int, ...]]:
-        if slots == 1:
-            yield prefix + (remaining,)
-            return
-        upper = remaining // slots
-        for value in range(minimum, upper + 1):
-            size = count_partitions_min(
-                remaining - value, slots - 1, value
-            )
-            if skip >= size:
-                skip -= size
-                continue
-            yield from recurse(
-                remaining - value, slots - 1, value,
-                prefix + (value,), skip,
-            )
-            skip = 0
-
-    emitted = 0
-    for widths in recurse(total, parts, 1, (), start):
-        yield widths
-        emitted += 1
-        if emitted == budget:
-            return
 
 
 def count_slice_max_at_most(

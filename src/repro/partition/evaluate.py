@@ -21,8 +21,12 @@ Two execution engines score the partitions:
 
 * ``engine="kernel"`` (default) — the dense time-matrix kernel of
   :mod:`repro.engine.kernel`: the N×W matrix is assembled once per
-  sweep, per-width columns are memoized, and the inner loop is
-  allocation-free.  Bit-identical outcomes, several times faster.
+  sweep, per-width columns are memoized, and one walker
+  (:func:`~repro.engine.kernel.sweep_partitions`) enumerates each TAM
+  count's partitions and scores them in the same pass.  Bit-identical
+  outcomes, several times faster.  (The ``increment`` enumerator's
+  duplicates are not canonical, so it is scored one partition at a
+  time.)
 * ``engine="legacy"`` — the original per-partition ``_times_for`` +
   :func:`~repro.assign.core_assign.core_assign` path, kept as the
   differential-test oracle.
@@ -33,18 +37,22 @@ lower bound per partition (widest-column aggregates) that skips
 partition could never run to completion under the Lines 18-20 abort,
 so every observable outcome — best time, partition, assignment,
 ``num_completed``, efficiency — is unchanged; only ``num_lb_pruned``
-and the wall clock move.  The engine/service paths enable it; the
-paper-fidelity report drivers keep the plain abort so Table 1's
-protocol is untouched.
+and the wall clock move.  The bound is monotone in a partition's
+largest part, so the walker skips whole loop tails and subtrees by
+count, with exactly the per-partition tally.  The engine/service
+paths enable it; the paper-fidelity report drivers keep the plain
+abort so Table 1's protocol is untouched.
 
 This module is the *serial* sweep and the semantic reference: the
 sharded driver in :mod:`repro.partition.shard` splits the same
-enumeration across pool workers and merges back a
-:class:`PartitionSearchResult` that is bit-identical to what the
-loop below produces (the differential suite in
-``tests/partition/test_shard.py`` holds it to that), reusing the
-:class:`_TopK` incumbent tracker both for the shard-local thresholds
-and for the deterministic replay merge.
+enumeration across pool workers — each running the same walker over
+its rank ranges — and merges back a :class:`PartitionSearchResult`
+that is bit-identical to what this sweep produces (the differential
+suite in ``tests/partition/test_shard.py`` holds it to that), reusing
+the :class:`_TopK` incumbent tracker both for the shard-local
+thresholds and for the deterministic replay merge.  The sweep before
+the walker is kept verbatim in ``tests/partition/_sweep_reference.py``
+as the oracle of ``tests/partition/test_sweep_oracle.py``.
 """
 
 from __future__ import annotations
@@ -57,6 +65,7 @@ from typing import (
     Dict,
     Iterable,
     Iterator,
+    List,
     Optional,
     Sequence,
     Tuple,
@@ -205,6 +214,18 @@ class _TopK:
         del self.entries[self.capacity:]
 
 
+def _offer_to(
+    tracker: _TopK, prune: Union[bool, str]
+) -> Callable[[int, AssignmentResult], Optional[int]]:
+    """The walker's completion hook: offer, then the new threshold."""
+
+    def offer(rank: int, result: AssignmentResult) -> Optional[int]:
+        tracker.offer(result)
+        return tracker.threshold() if prune else None
+
+    return offer
+
+
 def partition_evaluate(
     tables: Sequence[TimeTable],
     total_width: int,
@@ -324,6 +345,7 @@ def partition_evaluate(
             KernelWorkspace,
             build_dense_matrix,
             sweep_assign,
+            sweep_partitions,
         )
 
         if dense is not None:
@@ -364,38 +386,50 @@ def partition_evaluate(
                 # completes and is offered, so it is cached across the
                 # (overwhelmingly aborting) partitions in between.
                 threshold = tracker.threshold() if prune else None
-                for widths in enumerate_fn(total_width, count):
-                    enumerated += 1
-                    if matrix is not None:
-                        if (
-                            use_lb
-                            and threshold is not None
-                            and matrix.lower_bound(widths) >= threshold
-                        ):
-                            # Admissible bound: this partition could
-                            # only have aborted — skip Core_assign
-                            # entirely.
-                            lb_pruned += 1
-                            continue
-                        result = sweep_assign(
-                            matrix, widths, best_known=threshold,
-                            workspace=workspace,
-                        )
-                        if result is None:
-                            continue
-                    else:
-                        times = _times_for(tables, widths)
-                        outcome = core_assign(
-                            times, widths, best_known=threshold,
-                        )
-                        if not outcome.completed:
-                            continue
-                        assert outcome.result is not None
-                        result = outcome.result
-                    completed += 1
-                    tracker.offer(result)
-                    if prune:
-                        threshold = tracker.threshold()
+                if matrix is not None and enumerator == "unique":
+                    # The kernel's walker enumerates and scores in one
+                    # pass, offering each completion as it lands.
+                    enumerated = count_partitions(total_width, count)
+                    completed, lb_pruned = sweep_partitions(
+                        matrix, total_width, count, 0, enumerated,
+                        _offer_to(tracker, prune), threshold=threshold,
+                        use_lb=use_lb, workspace=workspace,
+                    )
+                else:
+                    # The ``increment`` enumerator's duplicates (and
+                    # the legacy engine) are scored one at a time.
+                    for widths in enumerate_fn(total_width, count):
+                        enumerated += 1
+                        if matrix is not None:
+                            if (
+                                use_lb
+                                and threshold is not None
+                                and matrix.lower_bound(widths) >= threshold
+                            ):
+                                # Admissible bound: this partition
+                                # could only have aborted — skip
+                                # Core_assign entirely.
+                                lb_pruned += 1
+                                continue
+                            result = sweep_assign(
+                                matrix, widths, best_known=threshold,
+                                workspace=workspace,
+                            )
+                            if result is None:
+                                continue
+                        else:
+                            times = _times_for(tables, widths)
+                            outcome = core_assign(
+                                times, widths, best_known=threshold,
+                            )
+                            if not outcome.completed:
+                                continue
+                            assert outcome.result is not None
+                            result = outcome.result
+                        completed += 1
+                        tracker.offer(result)
+                        if prune:
+                            threshold = tracker.threshold()
             count_span.annotate(
                 enumerated=enumerated,
                 completed=completed,

@@ -36,15 +36,22 @@ The protocol rests on three facts about the serial sweep:
    two serial completions the threshold is constant and the pruned
    count is "ranks in segment with last part <= cutoff", which
    :func:`~repro.partition.enumerate.count_slice_max_at_most` answers
-   without enumerating.  Shards may skip lower-bounded partitions
-   under their own (safe) thresholds without recording them.
+   without enumerating.  The same fact lets the walker skip a pruned
+   loop tail or subtree in one step (its rank count), in the serial
+   sweep and in a shard alike.  Shards may skip lower-bounded
+   partitions under their own (safe) thresholds without recording
+   them.
 
 Everything here is process-free: :func:`sweep_shard` is the worker
 payload (the engine runs it on pool workers over the shared-memory
 matrix and incumbent board, :mod:`repro.engine.batch` /
 :mod:`repro.engine.shm`), and :func:`sharded_partition_evaluate` runs
 the whole protocol inline — the differential-test surface, and the
-single-process reference for the merge semantics.
+single-process reference for the merge semantics.  A shard scores its
+spans with the serial sweep's own walker,
+:func:`repro.engine.kernel.sweep_partitions`, which starts at a rank
+by skipping whole subtrees by their counted size — one code path for
+both.
 """
 
 from __future__ import annotations
@@ -66,14 +73,12 @@ from repro.engine.kernel import (
     DenseTimeMatrix,
     KernelWorkspace,
     build_dense_matrix,
-    sweep_assign,
+    lower_bound_cutoff,
+    sweep_partitions,
 )
 from repro.exceptions import ConfigurationError
 from repro.partition.count import count_partitions
-from repro.partition.enumerate import (
-    count_slice_max_at_most,
-    partitions_slice,
-)
+from repro.partition.enumerate import count_slice_max_at_most
 from repro.partition.evaluate import (
     PRUNE_MODES,
     PartitionSearchResult,
@@ -83,7 +88,8 @@ from repro.partition.evaluate import (
 from repro.tam.assignment import AssignmentResult
 from repro.wrapper.pareto import TimeTable
 
-#: How many partitions a shard scores between incumbent-board reads.
+#: How many partitions a shard *scores* between incumbent-board reads
+#: (lower-bound skips are counted in bulk, so they do not count).
 #: Staleness is pure slack — a stale threshold is looser, and looser
 #: thresholds never change the merged outcome (fact 2 above).
 BOARD_REFRESH_INTERVAL = 32
@@ -298,9 +304,10 @@ def sweep_shard(
 ) -> ShardOutcome:
     """Score one shard's spans; the pool-worker payload.
 
-    Runs the kernel sweep over the shard's ranks under a threshold
+    Runs the kernel's walker over the shard's ranks under a threshold
     that is safe by construction (own prefix + earlier shards'
-    broadcasts, see :func:`_shared_threshold`), records every
+    broadcasts, see :func:`_shared_threshold`, re-read every
+    :data:`BOARD_REFRESH_INTERVAL` scored partitions), records every
     completion with its exact result, and publishes its own kept
     times after each one.  Under ``prune=False`` every partition
     completes, so recording them all would ship the whole partition
@@ -312,63 +319,46 @@ def sweep_shard(
     completion totals analytically (everything completes).
     """
     start_clock = _time.monotonic()
-    use_lb = prune == "lb"
     tracker = _TopK(keep_top, initial_best)
     workspace = workspace or KernelWorkspace()
     completions: List[ShardCompletion] = []
     #: prune=False: widths-key → latest kept completion (see above).
     kept: Dict[Tuple[int, ...], ShardCompletion] = {}
+
+    def threshold() -> Optional[int]:
+        return _shared_threshold(tracker, board, shard_index, keep_top)
+
     for span in spans:
-        threshold = (
-            _shared_threshold(tracker, board, shard_index, keep_top)
-            if prune else None
-        )
-        since_refresh = 0
-        for offset, widths in enumerate(partitions_slice(
-            total_width, span.num_tams, span.start, span.stop,
-        )):
-            if prune and board is not None:
-                since_refresh += 1
-                if since_refresh >= BOARD_REFRESH_INTERVAL:
-                    since_refresh = 0
-                    threshold = _shared_threshold(
-                        tracker, board, shard_index, keep_top
-                    )
-            if (
-                use_lb
-                and threshold is not None
-                and matrix.lower_bound(widths) >= threshold
-            ):
-                continue
-            result = sweep_assign(
-                matrix, widths, best_known=threshold,
-                workspace=workspace,
-            )
-            if result is None:
-                continue
+
+        def on_complete(
+            rank: int, result: AssignmentResult, span: ShardSpan = span,
+        ) -> Optional[int]:
             completion = ShardCompletion(
-                count_index=span.count_index,
-                rank=span.start + offset,
-                result=result,
+                count_index=span.count_index, rank=rank, result=result,
             )
             tracker.offer(result)
-            if prune:
-                completions.append(completion)
-            elif any(
-                entry is result for entry in tracker.entries
-            ):
-                kept[tuple(sorted(result.widths))] = completion
-            if prune:
-                # Unpruned sweeps never read thresholds, so there
-                # is nothing worth broadcasting either.
-                if board is not None:
-                    board.publish(shard_index, [
-                        entry.testing_time
-                        for entry in tracker.entries
-                    ])
-                threshold = _shared_threshold(
-                    tracker, board, shard_index, keep_top
-                )
+            if not prune:
+                # Unpruned sweeps never read thresholds, so there is
+                # nothing worth broadcasting either.
+                if any(entry is result for entry in tracker.entries):
+                    kept[tuple(sorted(result.widths))] = completion
+                return None
+            completions.append(completion)
+            if board is not None:
+                board.publish(shard_index, [
+                    entry.testing_time for entry in tracker.entries
+                ])
+            return threshold()
+
+        sweep_partitions(
+            matrix, total_width, span.num_tams, span.start, span.stop,
+            on_complete,
+            threshold=threshold() if prune else None,
+            use_lb=prune == "lb",
+            refresh=threshold if prune and board is not None else None,
+            refresh_interval=BOARD_REFRESH_INTERVAL,
+            workspace=workspace,
+        )
     if not prune and kept:
         final_keys = {
             tuple(sorted(entry.widths)) for entry in tracker.entries
@@ -385,30 +375,6 @@ def sweep_shard(
         completions=tuple(completions),
         elapsed_seconds=_time.monotonic() - start_clock,
     )
-
-
-def _lb_cutoff(
-    matrix: DenseTimeMatrix,
-    num_tams: int,
-    total_width: int,
-    threshold: int,
-) -> int:
-    """Largest max-part whose lower bound meets ``threshold`` (0: none).
-
-    ``lower_bound_for_max`` is monotone non-increasing in the max
-    part, so the set of pruned max-parts is a prefix — found by
-    binary search over the exact predicate the serial sweep tests.
-    """
-    lo, hi = 1, total_width
-    if matrix.lower_bound_for_max(1, num_tams) < threshold:
-        return 0
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if matrix.lower_bound_for_max(mid, num_tams) >= threshold:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
 
 
 def merge_shard_outcomes(
@@ -498,7 +464,7 @@ def merge_shard_outcomes(
                     min_max_part, count
                 ) < seg_threshold:
                     continue
-                cutoff = _lb_cutoff(
+                cutoff = lower_bound_cutoff(
                     matrix, count, plan.total_width, seg_threshold
                 )
                 if cutoff < min_max_part:

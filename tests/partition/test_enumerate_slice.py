@@ -1,4 +1,8 @@
-"""Rank machinery behind the sharded sweep: slices and counted prefixes."""
+"""Rank machinery behind the sharded sweep: slices and counted prefixes.
+
+``partitions_slice`` lives with the frozen sweep reference it served;
+its tests stay here as the check that the oracle's slices are right.
+"""
 
 import pytest
 
@@ -10,9 +14,10 @@ from repro.partition.count import (
 )
 from repro.partition.enumerate import (
     count_slice_max_at_most,
-    partitions_slice,
     unique_partitions,
 )
+
+from _sweep_reference import partitions_slice
 
 CASES = [(5, 2), (8, 4), (12, 3), (16, 5), (20, 7)]
 
