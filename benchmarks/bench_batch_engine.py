@@ -8,7 +8,7 @@ point, the per-width testing times of the sequential pipeline
 (``co_optimize`` per width, the seed's code path).
 """
 
-from _common import BATCH_COLUMNS, run_batch_sweep
+from common import BATCH_COLUMNS, run_batch_sweep
 from repro.optimize.co_optimize import co_optimize
 from repro.report.experiments import rows_to_table
 

@@ -10,7 +10,7 @@ beats a proven-exact sweep, stays within the envelope, and both
 methods improve monotonically with W.
 """
 
-from _common import run_comparison_bench
+from common import run_comparison_bench
 
 
 def test_tables5_6_p21241_b2(benchmark, p21241, report):

@@ -9,7 +9,7 @@ Shape checks: free-B beats the exhaustive-at-B=2 testing time at
 large widths, and the winning architectures use more than 2 TAMs.
 """
 
-from _common import run_npaw_bench
+from common import run_npaw_bench
 from repro.optimize.exhaustive import exhaustive_optimize
 
 

@@ -5,7 +5,7 @@ times exactly at most widths on this SOC (ΔT = +0.00% for W >= 40),
 because the bottleneck memory core dominates both solutions.
 """
 
-from _common import run_comparison_bench
+from common import run_comparison_bench
 
 
 def test_tables9_10_p31108_b2(benchmark, p31108, report):

@@ -11,7 +11,7 @@ to the *same* value at large W (the bottleneck core's floor); the
 heuristic's CPU never exceeds the exhaustive sweep's at B=3.
 """
 
-from _common import run_comparison_bench
+from common import run_comparison_bench
 from repro.schedule.makespan import saturation_lower_bound
 from repro.wrapper.pareto import build_time_tables
 

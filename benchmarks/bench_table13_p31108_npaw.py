@@ -8,7 +8,7 @@ Our stand-in reproduces the mechanism; the bench verifies the
 saturation and ties it to the bottleneck core's floor.
 """
 
-from _common import run_npaw_bench
+from common import run_npaw_bench
 from repro.wrapper.pareto import build_time_tables
 
 

@@ -5,7 +5,7 @@ The paper reports the new method within +0..+9% of exhaustive with
 agreement (ΔT = +0.00%) at several widths.
 """
 
-from _common import run_comparison_bench
+from common import run_comparison_bench
 
 
 def test_tables15_16_p93791_b2(benchmark, p93791, report):

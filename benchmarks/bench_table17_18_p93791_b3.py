@@ -8,7 +8,7 @@ Shape checks: quality envelope, monotonicity, and a genuine CPU
 advantage for the heuristic at this B.
 """
 
-from _common import run_comparison_bench
+from common import run_comparison_bench
 
 
 def test_tables17_18_p93791_b3(benchmark, p93791, report):

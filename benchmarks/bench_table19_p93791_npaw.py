@@ -9,7 +9,7 @@ to fixed B=2; testing time keeps improving with W (no saturation —
 unlike p31108, this SOC has no single dominating core).
 """
 
-from _common import run_npaw_bench
+from common import run_npaw_bench
 from repro.optimize.co_optimize import co_optimize
 
 

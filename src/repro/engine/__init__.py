@@ -18,7 +18,10 @@ that removes the waste:
   (SOC, W, B) jobs out over a ``concurrent.futures`` process pool
   with a per-worker cache, so whole design-space sweeps run in
   parallel while each worker still pays for every (core, width)
-  wrapper design at most once.
+  wrapper design at most once.  Every piece of pool work — a grid
+  point, a shard, a search island, a polish candidate, a cold table
+  build — is one picklable ``Task`` run by one entry point, and one
+  windowed loop dispatches the points under their deadlines.
 
 Two further modules make the hot path fast:
 

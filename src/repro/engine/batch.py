@@ -29,6 +29,17 @@ Three orthogonal options extend the engine for service use:
   close` or a ``with`` block) — the resident-worker mode the
   exploration service (:mod:`repro.service.server`) is built on.
 
+All pool work has one shape: a picklable :class:`Task` (a
+module-level function and its payload) run by the one entry point
+:func:`_run_task`, which applies the ``REPRO_FAULTS`` hooks and
+brackets the task's telemetry.  A grid point is one task.  A sharded
+or island-fanned point runs in the parent instead and spreads its
+shard, island and polish tasks over the pool through
+:meth:`BatchRunner._gather`, which re-runs a failed task alone.
+:func:`_with_policy` applies the job-level ``retries``/``on_error``
+policy to every point, and one windowed loop dispatches the points
+in order, each under its deadline (DESIGN.md §13).
+
 Results come back as :class:`~repro.analysis.sweep.SweepPoint`
 records in job order, and are identical to a sequential run — the
 optimizer is deterministic and the tables a cache hands out match a
@@ -39,16 +50,21 @@ from __future__ import annotations
 
 import logging
 import os
+from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from time import monotonic as _os_clock
 from time import sleep as _sleep
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
+    Deque,
     Dict,
     Iterable,
     Iterator,
@@ -57,6 +73,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    TypeVar,
     Union,
 )
 
@@ -116,6 +133,8 @@ logger = logging.getLogger(__name__)
 #: Valid ``on_error`` policies: abort the grid on the first failing
 #: point, or record it as a :class:`FailedPoint` and keep going.
 ON_ERROR_POLICIES: Tuple[str, ...] = ("raise", "record")
+
+_R = TypeVar("_R")
 
 
 @dataclass(frozen=True)
@@ -218,6 +237,13 @@ class FailedPoint:
     error_type: str
     error_message: str
     attempts: int
+
+    @classmethod
+    def from_error(
+        cls, job: BatchJob, error: BaseException, attempts: int
+    ) -> "FailedPoint":
+        """The record of ``job`` failing with ``error``."""
+        return cls(job, type(error).__name__, str(error), attempts)
 
     @property
     def total_width(self) -> int:
@@ -338,27 +364,28 @@ def align_point_telemetry(
     ]
 
 
-#: Per-worker-process table caches, keyed by SOC name.  Populated only
-#: inside pool workers; each worker builds tables for a SOC at most
-#: once (extending in place when a wider job arrives).
-_WORKER_CACHES: Dict[str, WrapperTableCache] = {}
+@dataclass
+class _Worker:
+    """What a task body runs against: table caches, store, policy.
 
-#: Per-worker-process runtime policy, set by :func:`_init_worker` at
-#: pool start: (on_error, retries, table store or None, tracing on).
-_WORKER_POLICY: Tuple[str, int, "Optional[TableStore]", bool] = (
-    "raise", 0, None, False
-)
+    Every pool worker holds one, installed by :func:`_init_worker`;
+    inline mode builds one over the runner's own caches.  ``faults``
+    is the ``REPRO_FAULTS`` plan (``None``, the only production
+    value, makes every fault hook a no-op), and ``in_pool`` keeps
+    crash faults (``os._exit``) from ever firing in the parent.
+    """
 
-#: The fault-injection plan active in this worker process, parsed
-#: from the plan text the parent threaded through the initializer.
-#: ``None`` (the default, and the only production value) makes every
-#: fault hook a no-op.
-_WORKER_FAULTS: Optional[FaultPlan] = None
+    caches: Dict[str, WrapperTableCache] = field(default_factory=dict)
+    store: "Optional[TableStore]" = None
+    faults: Optional[FaultPlan] = None
+    on_error: str = "raise"
+    retries: int = 0
+    in_pool: bool = False
 
-#: True only in processes initialized by :func:`_init_worker` — the
-#: guard that keeps crash faults (``os._exit``) from ever firing in
-#: the parent/inline process.
-_IN_POOL_WORKER = False
+
+#: This process's worker state.  Each worker builds tables for a SOC
+#: at most once (extending in place when a wider job arrives).
+_WORKER = _Worker()
 
 
 def _make_store(cache_dir: Union[str, Path, None]) -> "Optional[TableStore]":
@@ -382,15 +409,22 @@ def _init_worker(
 
     ``trace`` mirrors the parent tracer's state at pool start, so one
     ``TRACER.enable()`` in the parent traces the whole fleet — each
-    worker's spans ride home in its :class:`TaskTelemetry`.
+    worker's spans ride home in its :class:`TaskTelemetry`.  A worker
+    forked inside a parent span (the cold builds run under
+    ``publish_tables``) starts from an empty span stack.
     ``faults`` is the parent's ``REPRO_FAULTS`` plan text at pool
     start (normally ``None``), re-parsed here so every worker shares
     the same deterministic chaos plan.
     """
-    global _WORKER_POLICY, _WORKER_FAULTS, _IN_POOL_WORKER
-    _WORKER_POLICY = (on_error, retries, _make_store(cache_dir), trace)
-    _WORKER_FAULTS = FaultPlan.parse(faults) if faults else None
-    _IN_POOL_WORKER = True
+    global _WORKER
+    _WORKER = _Worker(
+        store=_make_store(cache_dir),
+        faults=FaultPlan.parse(faults) if faults else None,
+        on_error=on_error,
+        retries=retries,
+        in_pool=True,
+    )
+    TRACER.reset()
     if trace:
         TRACER.enable()
 
@@ -408,124 +442,75 @@ def _cache_for(
     return cache
 
 
-def _dense_point(
-    job: BatchJob,
-    descriptor: Optional[DenseDescriptor],
-    point_index: Optional[int] = None,
-    faults: Optional[FaultPlan] = None,
-) -> Optional[SweepPoint]:
-    """Evaluate ``job`` over a transported dense matrix, if possible.
+@dataclass(frozen=True)
+class Task:
+    """One unit of pool work: a module-level function and its payload.
 
-    Returns ``None`` whenever the descriptor cannot serve this job —
-    wrong SOC content, too narrow, segment gone — so the caller falls
-    back to its private table cache.  On the happy path the worker
-    builds *no* wrapper tables at all: the sweep reads the shared
-    matrix, and the designs the final utilization accounting needs
-    come decoded from the transported staircases (or, absent those,
-    are recovered on demand per bus width).
+    ``fn(payload, worker, fault_key)`` returns ``(value, fallbacks)``,
+    ``fallbacks`` counting shared matrices it could not attach.
+    ``fault_key`` is the index the ``REPRO_FAULTS`` crash, slow and
+    shm hooks key on — the grid point, shard or island index — and
+    ``None`` for the unhooked polish and build tasks.  Picklable:
+    ``fn`` is module-level (lint rule RPR003), the payload plain data.
     """
-    if descriptor is None:
-        return None
-    if (
-        descriptor.total_width < job.total_width
-        or descriptor.num_cores != len(job.soc.cores)
-        or descriptor.fingerprint != soc_fingerprint(job.soc)
-    ):
-        return None
-    if (
-        faults is not None
-        and point_index is not None
-        and faults.take_shm_failure(point_index)
-    ):
-        return None  # injected attach failure: take the fallback path
-    matrix = attach(descriptor)
-    if matrix is None:
-        return None
-    return evaluate_point(
-        job.soc,
-        job.total_width,
-        num_tams=job.num_tams,
-        tables=dense_time_tables(
-            job.soc.cores, matrix,
-            design_steps=attach_design_steps(descriptor),
-        ),
-        dense=matrix,
-        **job.options_dict(),
-    )
+
+    fn: Callable[[Any, _Worker, Optional[int]], Tuple[Any, int]]
+    payload: Any
+    fault_key: Optional[int] = None
 
 
-def _run_job_tracked(
-    caches: Dict[str, WrapperTableCache],
-    job: BatchJob,
-    store: "Optional[TableStore]" = None,
-    descriptor: Optional[DenseDescriptor] = None,
-    point_index: Optional[int] = None,
-    faults: Optional[FaultPlan] = None,
-) -> Tuple[SweepPoint, int]:
-    """Evaluate one job; also report whether the dense path was lost.
+def _run_task(
+    task: Task, worker: Optional[_Worker] = None
+) -> Tuple[Any, int, TaskTelemetry]:
+    """The one pool entry point: fault hooks, telemetry, the body.
 
-    The second element counts shared-table fallbacks: ``1`` when a
-    descriptor was provided but could not serve the job (segment
-    gone, stale content, attach failure) and the worker silently paid
-    for a full private cache instead — the slow path the runner now
-    surfaces (:attr:`BatchRunner.shm_fallbacks`) instead of hiding.
+    Returns ``(value, fallbacks, telemetry)``; the telemetry (the
+    task's spans plus this process's metrics delta) rides home with
+    the value, so the parent's registry covers the whole fleet.
+    ``worker`` defaults to this process's pool-worker state; inline
+    mode passes its own.
     """
-    if faults is not None and point_index is not None:
-        delay = faults.slow_delay(point_index)
-        if delay:
-            _sleep(delay)  # injected stall; delay comes from the plan
-    if descriptor is not None:
-        point = _dense_point(
-            job, descriptor, point_index=point_index, faults=faults
-        )
-        if point is not None:
-            return point, 0
-    cache = _cache_for(caches, job.soc, store=store)
-    point = evaluate_point(
-        job.soc,
-        job.total_width,
-        num_tams=job.num_tams,
-        tables=cache.tables(job.total_width),
-        **job.options_dict(),
-    )
-    return point, (0 if descriptor is None else 1)
+    if worker is None:
+        worker = _WORKER
+    key = task.fault_key
+    faults = worker.faults if key is not None else None
+    if faults is not None and worker.in_pool and faults.take_crash(key):
+        # Injected worker death: surfaces in the parent as a
+        # BrokenProcessPool, exercising the pool-rebuild recovery.
+        os._exit(1)
+    baseline = task_begin()
+    delay = faults.slow_delay(key) if faults is not None else None
+    if delay:
+        _sleep(delay)  # injected stall; delay comes from the plan
+    value, fallbacks = task.fn(task.payload, worker, key)
+    return value, fallbacks, task_end(baseline)
 
 
-def _run_job_cached(
-    caches: Dict[str, WrapperTableCache],
-    job: BatchJob,
-    store: "Optional[TableStore]" = None,
-    descriptor: Optional[DenseDescriptor] = None,
-) -> SweepPoint:
-    """Evaluate one job against the transported matrix or shared caches."""
-    return _run_job_tracked(
-        caches, job, store=store, descriptor=descriptor
-    )[0]
-
-
-def _run_job_safe(
-    caches: Dict[str, WrapperTableCache],
+def _with_policy(
     job: BatchJob,
     on_error: str,
     retries: int,
-    store: "Optional[TableStore]" = None,
-    descriptor: Optional[DenseDescriptor] = None,
-    point_index: Optional[int] = None,
-    faults: Optional[FaultPlan] = None,
-) -> Tuple[BatchResult, int]:
-    """Evaluate one job under the runner's failure policy."""
+    attempt: Callable[[], _R],
+) -> Union[_R, FailedPoint]:
+    """``attempt()`` under the job failure policy.
+
+    ``retries`` extra attempts, then a :class:`FailedPoint` under
+    ``on_error="record"`` or the error itself.  A broken pool and a
+    missed deadline are not the job's failure: they propagate to the
+    dispatcher untouched.  Inline, pooled and fanned points all run
+    through here.
+    """
     attempts = retries + 1
-    for attempt in range(1, attempts + 1):
+    for count in range(1, attempts + 1):
         try:
-            return _run_job_tracked(
-                caches, job, store=store, descriptor=descriptor,
-                point_index=point_index, faults=faults,
-            )
+            return attempt()
+        except (BrokenProcessPool, DeadlineError):
+            raise
         except Exception as error:  # noqa: BLE001 - policy boundary
-            if attempt < attempts:
+            if count < attempts:
                 logger.warning(
                     "job %s failed (attempt %d/%d), retrying: %s",
-                    job.describe(), attempt, attempts, error,
+                    job.describe(), count, attempts, error,
                 )
                 continue
             if on_error == "record":
@@ -533,91 +518,126 @@ def _run_job_safe(
                     "job %s failed permanently: %s: %s",
                     job.describe(), type(error).__name__, error,
                 )
-                return FailedPoint(
-                    job=job,
-                    error_type=type(error).__name__,
-                    error_message=str(error),
-                    attempts=attempt,
-                ), 0
+                return FailedPoint.from_error(job, error, count)
             raise
     raise AssertionError("unreachable")  # pragma: no cover
 
 
-def _pool_worker(
-    item: Tuple[Any, ...]
-) -> Tuple[BatchResult, int, TaskTelemetry]:
-    """Pool entry point: evaluate one (job, descriptor, index) item.
-
-    Ships the job's :class:`TaskTelemetry` (its spans plus this
-    worker's metrics delta) back with the result, so the parent's
-    registry covers the whole fleet.  The grid-point index keys the
-    fault-injection hooks (and older two-element items still work).
-    """
-    job, descriptor = item[0], item[1]
-    point_index: Optional[int] = item[2] if len(item) > 2 else None
-    on_error, retries, store, _ = _WORKER_POLICY
-    faults = _WORKER_FAULTS
+def _attach(
+    descriptor: DenseDescriptor, worker: _Worker, key: Optional[int]
+) -> Optional[DenseTimeMatrix]:
+    """Attach a shared dense matrix, unless a ``shm@`` fault refuses."""
     if (
-        faults is not None
-        and point_index is not None
-        and _IN_POOL_WORKER
-        and faults.take_crash(point_index)
+        worker.faults is not None
+        and key is not None
+        and worker.faults.take_shm_failure(key)
     ):
-        # Injected worker death: surfaces in the parent as a
-        # BrokenProcessPool, exercising the pool-rebuild recovery.
-        os._exit(1)
-    baseline = task_begin()
-    result, fallbacks = _run_job_safe(
-        _WORKER_CACHES, job, on_error, retries, store=store,
-        descriptor=descriptor, point_index=point_index, faults=faults,
+        return None  # injected attach failure: take the fallback path
+    return attach(descriptor)
+
+
+def _evaluate_job(
+    job: BatchJob,
+    descriptor: Optional[DenseDescriptor],
+    worker: _Worker,
+    key: Optional[int],
+) -> Tuple[SweepPoint, int]:
+    """Evaluate one job; also report whether the dense path was lost.
+
+    On the happy path the job builds *no* wrapper tables at all: the
+    sweep reads the transported matrix, and the designs the final
+    utilization accounting needs come decoded from the transported
+    staircases (or, absent those, are recovered on demand per bus
+    width).  A descriptor that cannot serve the job — wrong SOC
+    content, too narrow, segment gone — falls back to the worker's
+    private table cache, and the second element reports ``1``: the
+    slow path the runner surfaces (:attr:`BatchRunner.shm_fallbacks`)
+    instead of hiding.
+    """
+    matrix = None
+    if descriptor is not None and (
+        descriptor.total_width >= job.total_width
+        and descriptor.num_cores == len(job.soc.cores)
+        and descriptor.fingerprint == soc_fingerprint(job.soc)
+    ):
+        matrix = _attach(descriptor, worker, key)
+    if matrix is not None:
+        tables = dense_time_tables(
+            job.soc.cores, matrix,
+            design_steps=attach_design_steps(descriptor),
+        )
+    else:
+        cache = _cache_for(worker.caches, job.soc, store=worker.store)
+        tables = cache.tables(job.total_width)
+    point = evaluate_point(
+        job.soc,
+        job.total_width,
+        num_tams=job.num_tams,
+        tables=tables,
+        dense=matrix,
+        **job.options_dict(),
     )
-    return result, fallbacks, task_end(baseline)
+    return point, int(descriptor is not None and matrix is None)
 
 
-def _shard_worker(
-    item: Tuple[
+def _point_task(
+    payload: Tuple[BatchJob, Optional[DenseDescriptor]],
+    worker: _Worker,
+    key: Optional[int],
+) -> Tuple[BatchResult, int]:
+    """Task body: one whole grid point under the worker's policy."""
+    job, descriptor = payload
+    outcome = _with_policy(
+        job, worker.on_error, worker.retries,
+        lambda: _evaluate_job(job, descriptor, worker, key),
+    )
+    return (outcome, 0) if isinstance(outcome, FailedPoint) else outcome
+
+
+def _shared_matrix(
+    descriptor: DenseDescriptor,
+    soc: Soc,
+    total_width: int,
+    worker: _Worker,
+    key: Optional[int],
+) -> Tuple[DenseTimeMatrix, int]:
+    """A fanned task's shared matrix, or a private rebuild.
+
+    The rebuild gives the same matrix from the worker's cache and is
+    counted as a shared-table fallback.
+    """
+    matrix = _attach(descriptor, worker, key)
+    if matrix is not None:
+        return matrix, 0
+    logger.warning(
+        "task %s: dense segment for %s unavailable; rebuilding "
+        "tables privately", key, soc.name,
+    )
+    cache = _cache_for(worker.caches, soc, store=worker.store)
+    return build_dense_matrix(
+        cache.table_list(total_width), total_width
+    ), 1
+
+
+def _shard_task(
+    payload: Tuple[
         DenseDescriptor, object, int, Tuple[ShardSpan, ...], Soc,
         int, int, Optional[int], Union[bool, str],
-    ]
-) -> Tuple[ShardOutcome, int, TaskTelemetry]:
-    """Pool entry point: score one shard of a sharded partition sweep.
+    ],
+    worker: _Worker,
+    key: Optional[int],
+) -> Tuple[ShardOutcome, int]:
+    """Task body: score one shard of a sharded partition sweep.
 
-    Attaches the job's shared dense matrix and the sweep's incumbent
+    Reads the job's shared dense matrix and the sweep's incumbent
     board, scores the shard's rank ranges, and ships the recorded
-    completions back for the parent-side deterministic merge.  A
-    worker that cannot attach the matrix rebuilds privately from its
-    cache — same outcome, counted as a shared-table fallback.
+    completions back for the parent-side deterministic merge.
     """
     (descriptor, board_descriptor, shard_index, spans, soc,
-     total_width, keep_top, initial_best, prune) = item
-    faults = _WORKER_FAULTS
-    if (
-        faults is not None and _IN_POOL_WORKER
-        and faults.take_crash(shard_index)
-    ):
-        os._exit(1)  # injected shard-worker death
-    baseline = task_begin()
-    if faults is not None:
-        delay = faults.slow_delay(shard_index)
-        if delay:
-            _sleep(delay)  # injected stall; delay comes from the plan
-    fallbacks = 0
-    matrix = (
-        None
-        if faults is not None and faults.take_shm_failure(shard_index)
-        else attach(descriptor)
+     total_width, keep_top, initial_best, prune) = payload
+    matrix, fallbacks = _shared_matrix(
+        descriptor, soc, total_width, worker, key
     )
-    if matrix is None:
-        fallbacks = 1
-        logger.warning(
-            "shard %d: dense segment for %s unavailable; rebuilding "
-            "tables privately", shard_index, soc.name,
-        )
-        store = _WORKER_POLICY[2]
-        cache = _cache_for(_WORKER_CACHES, soc, store=store)
-        matrix = build_dense_matrix(
-            cache.table_list(total_width), total_width
-        )
     board = IncumbentBoard.attach(board_descriptor)
     try:
         with span(
@@ -628,68 +648,37 @@ def _shard_worker(
                 keep_top=keep_top, initial_best=initial_best,
                 prune=prune, board=board,
             )
-            shard_span.annotate(
-                completions=len(outcome.completions)
-            )
+            shard_span.annotate(completions=len(outcome.completions))
     finally:
         if board is not None:
             board.close()
     REGISTRY.counter("shard.shards_run").inc()
-    return outcome, fallbacks, task_end(baseline)
+    return outcome, fallbacks
 
 
-def _search_worker(
-    item: Tuple[DenseDescriptor, object, Any, Soc, int]
-) -> Tuple[Any, int, TaskTelemetry]:
-    """Pool entry point: run one island of a ``mode="search"`` point.
+def _island_task(
+    payload: Tuple[DenseDescriptor, object, Any, Soc, int],
+    worker: _Worker,
+    key: Optional[int],
+) -> Tuple[Any, int]:
+    """Task body: run one island of a ``mode="search"`` point.
 
-    Attaches the job's shared dense matrix and the search's incumbent
-    board, runs the island to budget exhaustion, and ships its
-    :class:`~repro.search.IslandResult` back for the parent-side
-    deterministic merge.  Publication to the board is write-only —
-    the island never reads other islands' incumbents — so the result
-    is bit-identical to inline execution.  A worker that cannot
-    attach the matrix rebuilds privately from its cache — same
-    outcome, counted as a shared-table fallback.
+    Reads the job's shared dense matrix, runs the island to budget
+    exhaustion, and ships its :class:`~repro.search.IslandResult`
+    back for the parent-side deterministic merge.  Publication to the
+    incumbent board is write-only — the island never reads other
+    islands' incumbents — so the result is bit-identical to inline
+    execution.
     """
-    (descriptor, board_descriptor, plan, soc, total_width) = item
     # Imported lazily: repro.search builds on repro.engine.kernel,
     # whose package import lands back in this module.
     from repro.search.driver import run_island
 
-    faults = _WORKER_FAULTS
-    if (
-        faults is not None and _IN_POOL_WORKER
-        and faults.take_crash(plan.island_index)
-    ):
-        os._exit(1)  # injected island-worker death
-    baseline = task_begin()
-    if faults is not None:
-        delay = faults.slow_delay(plan.island_index)
-        if delay:
-            _sleep(delay)  # injected stall; delay comes from the plan
-    fallbacks = 0
-    matrix = (
-        None
-        if faults is not None
-        and faults.take_shm_failure(plan.island_index)
-        else attach(descriptor)
+    descriptor, board_descriptor, plan, soc, total_width = payload
+    matrix, fallbacks = _shared_matrix(
+        descriptor, soc, total_width, worker, key
     )
-    if matrix is None:
-        fallbacks = 1
-        logger.warning(
-            "island %d: dense segment for %s unavailable; rebuilding "
-            "tables privately", plan.island_index, soc.name,
-        )
-        store = _WORKER_POLICY[2]
-        cache = _cache_for(_WORKER_CACHES, soc, store=store)
-        matrix = build_dense_matrix(
-            cache.table_list(total_width), total_width
-        )
-    board = (
-        IncumbentBoard.attach(board_descriptor)
-        if board_descriptor is not None else None
-    )
+    board = IncumbentBoard.attach(board_descriptor)
     publish = None
     if board is not None:
         def publish(
@@ -708,75 +697,93 @@ def _search_worker(
         if board is not None:
             board.close()
     REGISTRY.counter("search.islands_run").inc()
-    return result, fallbacks, task_end(baseline)
+    return result, fallbacks
 
 
-def _polish_worker(
-    item: Tuple[Any, ...]
-) -> Tuple[Any, TaskTelemetry]:
-    """Pool entry point: solve one exact-polish candidate.
+def _polish_task(
+    payload: Any, worker: _Worker, key: Optional[int]
+) -> Tuple[Any, int]:
+    """Task body: one exact-polish candidate.
 
     Executes one :data:`repro.optimize.co_optimize.PolishTask` — an
-    independent, picklable exact ``P_AW`` solve — so a sharded job's
-    top-k polish steps run across the pool instead of serially in the
-    parent.  The parent reduces the returned
+    independent exact ``P_AW`` solve.  The parent reduces the returned
     :class:`~repro.assign.exact.ExactResult` s in candidate order,
     which is exactly the serial loop's reduction.
     """
     from repro.optimize.co_optimize import run_polish_task
 
-    baseline = task_begin()
-    with span("polish_candidate", widths=str(item[1].widths)):
-        exact = run_polish_task(item)
+    with span("polish_candidate", widths=str(payload[1].widths)):
+        exact = run_polish_task(payload)
     REGISTRY.counter("engine.polish_tasks_run").inc()
-    return exact, task_end(baseline)
+    return exact, 0
 
 
-def _build_matrix_worker(
-    item: Tuple[Soc, int]
-) -> Tuple[bytes, bytes, float, TaskTelemetry]:
-    """Pool entry point: build one cold SOC's dense matrix + staircases.
+def _build_task(
+    payload: Tuple[Soc, int], worker: _Worker, key: Optional[int]
+) -> Tuple[Tuple[bytes, bytes], int]:
+    """Task body: build one cold SOC's dense matrix + staircases.
 
-    Runs the wrapper designs on a pool worker — through that worker's
-    (store-backed) cache, so the build also warms it — and returns
-    the matrix bytes, the serialized design staircases, and the build
-    seconds for the parent to publish over shared memory.  This is
-    how a cold many-SOC grid's table builds spread across the pool
-    instead of serializing in the parent.
+    Runs the wrapper designs through this worker's (store-backed)
+    cache, so the build also warms it, and returns the matrix bytes
+    and the serialized design staircases for the parent to publish
+    over shared memory.
     """
-    soc, total_width = item
-    baseline = task_begin()
-    start = _os_clock()
-    store = _WORKER_POLICY[2]
+    soc, total_width = payload
     with span("build_tables", soc=soc.name, W=total_width):
-        cache = _cache_for(_WORKER_CACHES, soc, store=store)
+        cache = _cache_for(worker.caches, soc, store=worker.store)
         tables = cache.table_list(total_width)
         matrix = build_dense_matrix(tables, total_width)
-    return (
-        matrix.to_bytes(),
-        design_steps_blob(tables),
-        _os_clock() - start,
-        task_end(baseline),
-    )
+    return (matrix.to_bytes(), design_steps_blob(tables)), 0
+
+
+def _await(future: "Future[Any]", deadline: Optional[float]) -> Any:
+    """``future.result()``, or :class:`DeadlineError` at ``deadline``.
+
+    ``deadline`` is an absolute ``monotonic`` time; a result already
+    in hand is returned even when it has passed.
+    """
+    if deadline is None:
+        return future.result()
+    try:
+        return future.result(timeout=max(0.0, deadline - _os_clock()))
+    except _FuturesTimeout:
+        raise DeadlineError("wall-clock deadline passed") from None
+
+
+@contextmanager
+def _incumbent_board(
+    slots: int, keep_top: int, enabled: bool = True
+) -> Iterator[object]:
+    """A parent-owned incumbent board's descriptor, freed on exit.
+
+    Yields ``None`` when disabled or when shared memory is
+    unavailable; the tasks then run without one.
+    """
+    board = IncumbentBoard.create(slots, keep_top) if enabled else None
+    try:
+        yield board.descriptor() if board is not None else None
+    finally:
+        if board is not None:
+            board.close()
 
 
 def _merge_task_telemetry(
-    parent: TaskTelemetry, shards: Sequence[TaskTelemetry]
+    parent: TaskTelemetry, tasks: Sequence[TaskTelemetry]
 ) -> TaskTelemetry:
-    """One job's telemetry from its parent-side and shard-side parts.
+    """One fanned point's telemetry from its parent and task parts.
 
-    A sharded job's spans and counters come from two places: the
-    parent (merge, polish, certificate) and each shard worker.  The
+    A fanned point's spans and counters come from two places: the
+    parent (merge, polish, certificate) and each of its tasks.  The
     merged record is what the warehouse stores per point; the caller
     is responsible for absorbing each part into the runner's registry
     exactly once.
     """
-    if not shards:
+    if not tasks:
         return parent
     registry = MetricsRegistry()
     registry.absorb(parent.metrics)
     merged: List[SpanRecord] = list(parent.spans)
-    for telemetry in shards:
+    for telemetry in tasks:
         registry.absorb(telemetry.metrics)
         merged.extend(telemetry.spans)
     return TaskTelemetry(
@@ -795,11 +802,6 @@ class BatchRunner:
         ``None`` uses one worker per CPU; any other value sizes the
         process pool explicitly.  An ephemeral pool never exceeds
         the number of jobs; a persistent one is sized once.
-    chunksize:
-        Jobs handed to a pool worker per dispatch.  Values above 1
-        keep consecutive jobs (typically same SOC, ascending widths)
-        on one worker, improving its cache reuse at some cost in
-        load balance.
     on_error:
         ``"raise"`` (default) aborts the batch on the first failing
         job; ``"record"`` returns a :class:`FailedPoint` for it and
@@ -846,8 +848,9 @@ class BatchRunner:
         fall back to whole-job dispatch.
     point_timeout:
         Per-point wall-clock deadline in seconds (pool mode only;
-        inline jobs cannot be interrupted).  A point whose result
-        does not arrive within the deadline counts into
+        inline jobs cannot be interrupted), measured from the point's
+        turn and covering every task of a fanned point.  A point
+        whose result does not arrive within the deadline counts into
         ``engine.points_timed_out`` and becomes a
         :class:`FailedPoint` under ``on_error="record"`` or raises
         :class:`~repro.exceptions.DeadlineError` under ``"raise"``.
@@ -863,16 +866,16 @@ class BatchRunner:
         the historical fail-fast behavior.
     """
 
-    #: Extra attempts a failed *shard task* gets (at shard
-    #: granularity, before the job-level retry policy even engages);
-    #: re-running a shard is deterministic, so one retry only pays
-    #: off for environmental failures.
+    #: Attempts in all a failed pool *task* (shard, island, polish or
+    #: build) gets, at task granularity, before the job-level
+    #: ``retries`` policy even engages; re-running a task is
+    #: deterministic, so one retry only pays off for environmental
+    #: failures.
     SHARD_RETRY_ATTEMPTS = 2
 
     def __init__(
         self,
         max_workers: Optional[int] = 1,
-        chunksize: int = 1,
         on_error: str = "raise",
         retries: int = 0,
         cache_dir: Union[str, Path, None] = None,
@@ -885,10 +888,6 @@ class BatchRunner:
         if max_workers is not None and max_workers < 1:
             raise ConfigurationError(
                 f"max_workers must be >= 1 or None, got {max_workers}"
-            )
-        if chunksize < 1:
-            raise ConfigurationError(
-                f"chunksize must be >= 1, got {chunksize}"
             )
         if on_error not in ON_ERROR_POLICIES:
             raise ConfigurationError(
@@ -908,7 +907,6 @@ class BatchRunner:
         self.point_timeout = normalize_point_timeout(point_timeout)
         self.pool_restart_retries = pool_restart_retries
         self.max_workers = max_workers
-        self.chunksize = chunksize
         self.on_error = on_error
         self.retries = retries
         self.cache_dir = (
@@ -934,8 +932,6 @@ class BatchRunner:
         #: Run-level spans of the previous run — parent- and
         #: pool-side table/matrix builds not attributable to one job.
         self.last_run_spans: List[SpanRecord] = []
-        #: Shard-worker telemetry of the sharded job in flight.
-        self._shard_telemetry: List[TaskTelemetry] = []
         self._store = _make_store(self.cache_dir)
         self._caches: Dict[str, WrapperTableCache] = {}
         self._executor: Optional[ProcessPoolExecutor] = None
@@ -1000,8 +996,10 @@ class BatchRunner:
             ),
         )
 
-    def _resident_pool(self, workers: int) -> ProcessPoolExecutor:
-        """The persistent pool, started on first use."""
+    def _pool(self, workers: int) -> ProcessPoolExecutor:
+        """The persistent pool (started on first use), or a new one."""
+        if not self.persistent:
+            return self._new_pool(workers)
         if self._executor is None:
             self._executor = self._new_pool(workers)
         return self._executor
@@ -1044,7 +1042,7 @@ class BatchRunner:
         persistent runner published before) build locally: warm
         builds are cheap.  When two or more SOCs are *cold* and a
         ``pool`` is available, their builds fan out as pool tasks
-        (:func:`_build_matrix_worker`) instead of serializing in the
+        (:func:`_build_task`) instead of serializing in the
         parent — the cold-grid half of the intra-job scaling story.
         """
         width_by_soc: Dict[str, int] = {}
@@ -1081,21 +1079,16 @@ class BatchRunner:
         if len(cold) == 1:
             # One cold SOC gains nothing from a pool round-trip: the
             # parent would idle-wait on the single build anyway.
-            fingerprint, soc, width = cold[0]
-            descriptors[fingerprint] = self._publish_local(
-                fingerprint, soc, width
-            )
+            descriptors[cold[0][0]] = self._publish_local(*cold[0])
         elif cold:
-            futures = [
-                (fingerprint, soc, width, pool.submit(
-                    _build_matrix_worker, (soc, width)
-                ))
-                for fingerprint, soc, width in cold
-            ]
-            for fingerprint, soc, width, future in futures:
-                data, blob, _, telemetry = future.result()
-                self.metrics.absorb(telemetry.metrics)
-                self.last_run_spans.extend(telemetry.spans)
+            built, telemetry = self._gather(pool, [
+                Task(_build_task, (soc, width)) for _, soc, width in cold
+            ], "build", None)
+            for record in telemetry:
+                self.last_run_spans.extend(record.spans)
+            for (fingerprint, soc, width), (data, blob) in zip(
+                cold, built
+            ):
                 matrix = DenseTimeMatrix.from_buffer(
                     data, len(soc.cores), width
                 )
@@ -1179,12 +1172,11 @@ class BatchRunner:
         """Evaluate ``jobs``, yielding one result per job, in order.
 
         The streaming form of :meth:`run`: results become available
-        as each job finishes (``concurrent.futures`` ``map`` yields
-        in submission order), which is what lets the exploration
-        server emit per-point :class:`~repro.api.JobEvent` s while a
-        grid is still running.  The iterator must be consumed for
-        the batch to complete; abandoning it mid-grid closes the
-        underlying ephemeral pool.
+        as each job finishes (yielded in job order), which is what
+        lets the exploration server emit per-point
+        :class:`~repro.api.JobEvent` s while a grid is still running.
+        The iterator must be consumed for the batch to complete;
+        abandoning it mid-grid closes the underlying ephemeral pool.
 
         ``shard`` and ``point_timeout`` override the runner's
         intra-job sharding policy and per-point deadline for this
@@ -1218,18 +1210,12 @@ class BatchRunner:
                 self.metrics.snapshot().delta(run_start)
             )
 
-    def _fallbacks(self, count: int) -> None:
-        """Count shared-table fallbacks reported by a worker."""
-        if count:
-            self.metrics.counter("engine.shm_fallbacks").inc(count)
-
-    def _absorb_job(
-        self, index: int, telemetry: TaskTelemetry
-    ) -> None:
-        """File one job's telemetry: registry merge + per-job slot."""
+    def _absorb(self, fallbacks: int, telemetry: TaskTelemetry) -> None:
+        """File one task's report: its shared-table fallbacks and its
+        metrics delta go into the runner's registry."""
+        if fallbacks:
+            self.metrics.counter("engine.shm_fallbacks").inc(fallbacks)
         self.metrics.absorb(telemetry.metrics)
-        if index < len(self.last_run_telemetry):
-            self.last_run_telemetry[index] = telemetry
 
     def _run_iter_inner(
         self,
@@ -1270,22 +1256,22 @@ class BatchRunner:
                 and not self.persistent:
             workers = min(workers, len(jobs))
         if workers == 1:
-            faults = FaultPlan.from_env()
+            worker = _Worker(
+                self._caches, self._store, FaultPlan.from_env(),
+                self.on_error, self.retries,
+            )
             for index, job in enumerate(jobs):
-                baseline = task_begin()
-                result, fallbacks = _run_job_safe(
-                    self._caches, job, self.on_error, self.retries,
-                    store=self._store, point_index=index,
-                    faults=faults,
+                result, fallbacks, telemetry = _run_task(
+                    Task(_point_task, (job, None), index), worker
                 )
-                self._fallbacks(fallbacks)
-                self._absorb_job(index, task_end(baseline))
+                self._absorb(fallbacks, telemetry)
+                self.last_run_telemetry[index] = telemetry
                 yield result
             return
         # Pool supervision: a BrokenProcessPool (worker OOM-killed,
         # segfaulted, or chaos-crashed) no longer aborts the grid.
-        # Already-yielded results are kept — both dispatch paths
-        # yield strictly in job order — the pool is rebuilt after a
+        # Already-yielded results are kept — the dispatcher yields
+        # strictly in job order — the pool is rebuilt after a
         # deterministic backoff, and only jobs[emitted:] re-dispatch.
         # The published shm segments are parent-owned and survive the
         # dead pool, so the rebuilt workers re-attach to the same
@@ -1293,10 +1279,7 @@ class BatchRunner:
         emitted = 0
         restarts = 0
         delays = backoff_schedule(self.pool_restart_retries)
-        pool = (
-            self._resident_pool(workers) if self.persistent
-            else self._new_pool(workers)
-        )
+        pool = self._pool(workers)
         try:
             while True:
                 try:
@@ -1319,16 +1302,14 @@ class BatchRunner:
                             emitted, len(jobs), restarts - 1,
                         )
                         if self.on_error == "record":
+                            error = BrokenProcessPool(
+                                "process pool died and could not be "
+                                "rebuilt"
+                            )
                             for job in jobs[emitted:]:
                                 emitted += 1
-                                yield FailedPoint(
-                                    job=job,
-                                    error_type="BrokenProcessPool",
-                                    error_message=(
-                                        "process pool died and could "
-                                        "not be rebuilt"
-                                    ),
-                                    attempts=restarts,
+                                yield FailedPoint.from_error(
+                                    job, error, restarts
                                 )
                             return
                         raise
@@ -1339,10 +1320,7 @@ class BatchRunner:
                         self.pool_restart_retries,
                     )
                     _sleep(delays[restarts - 1])
-                    pool = (
-                        self._resident_pool(workers) if self.persistent
-                        else self._new_pool(workers)
-                    )
+                    pool = self._pool(workers)
         finally:
             if not self.persistent:
                 # Ephemeral pool: its workers are gone, so the
@@ -1353,41 +1331,24 @@ class BatchRunner:
                 self._matrices.clear()
                 self._merge_tables.clear()
 
-    def _await_point(
-        self,
-        future: "Future[Tuple[BatchResult, int, TaskTelemetry]]",
-        job: BatchJob,
-        point_timeout: Optional[float],
-    ) -> Tuple[BatchResult, int, Optional[TaskTelemetry]]:
-        """One submitted point's result, under the deadline policy.
+    def _timed_out(
+        self, job: BatchJob, point_timeout: Optional[float]
+    ) -> FailedPoint:
+        """A point that missed its deadline: counted, then recorded
+        or raised per the ``on_error`` policy.
 
-        A point that misses its wall-clock deadline is *abandoned*
-        (its worker cannot be interrupted; the result, if any, is
-        discarded) — counted, then recorded or raised per the
-        ``on_error`` policy.
+        The point is *abandoned*: its tasks cannot be interrupted, and
+        their results, if any, are discarded.
         """
-        if point_timeout is None:
-            return future.result()
-        try:
-            return future.result(timeout=point_timeout)
-        except _FuturesTimeout:
-            future.cancel()
-            self.metrics.counter("engine.points_timed_out").inc()
-            message = (
-                f"grid point exceeded its {point_timeout:g}s "
-                "wall-clock deadline"
-            )
-            logger.error("job %s: %s", job.describe(), message)
-            if self.on_error == "record":
-                return FailedPoint(
-                    job=job,
-                    error_type="DeadlineError",
-                    error_message=message,
-                    attempts=1,
-                ), 0, None
-            raise DeadlineError(
-                f"job {job.describe()}: {message}"
-            ) from None
+        self.metrics.counter("engine.points_timed_out").inc()
+        error = DeadlineError(
+            f"grid point exceeded its {point_timeout:g}s "
+            "wall-clock deadline"
+        )
+        logger.error("job %s: %s", job.describe(), error)
+        if self.on_error == "record":
+            return FailedPoint.from_error(job, error, 1)
+        raise DeadlineError(f"job {job.describe()}: {error}") from None
 
     def _dispatch_pool(
         self,
@@ -1405,6 +1366,13 @@ class BatchRunner:
         idempotent for segments already wide enough — and results
         stream back in job order, so the caller can resume from its
         yield count if this pool breaks mid-grid.
+
+        At most ``max_concurrent`` points (all of them when unset)
+        are in flight at once.  A whole point is one pool task; a
+        sharded or island-fanned point instead runs here in the
+        parent when its turn comes, spreading its own tasks over the
+        pool.  Either way the point is awaited under its deadline,
+        measured from the moment its turn comes.
         """
         build_baseline = task_begin()
         if self.share_tables:
@@ -1415,288 +1383,211 @@ class BatchRunner:
         build_telemetry = task_end(build_baseline)
         self.metrics.absorb(build_telemetry.metrics)
         self.last_run_spans.extend(build_telemetry.spans)
-        remaining = list(range(skip, len(jobs)))
-        if any(shard_counts) or any(search_fan):
-            # Unsharded/unfanned jobs are submitted up front so they
-            # keep running concurrently; each sharded (or
-            # island-fanned search) job saturates the pool with its
-            # own tasks at its turn.
-            futures = {
-                index: pool.submit(
-                    _pool_worker,
-                    (jobs[index], descriptors[index], index),
+        fanned = [
+            (shard_counts[index] >= 2 or search_fan[index])
+            and descriptor is not None
+            and descriptor.fingerprint in self._matrices
+            for index, descriptor in enumerate(descriptors)
+        ]
+        todo = iter(range(skip, len(jobs)))
+        window = max_concurrent or len(jobs)
+        pending: Deque[Tuple[int, "Optional[Future[Any]]"]] = deque()
+
+        def fill() -> None:
+            for index in islice(todo, window - len(pending)):
+                task = Task(
+                    _point_task, (jobs[index], descriptors[index]), index
                 )
-                for index in remaining
-                if not (
-                    (shard_counts[index] >= 2 or search_fan[index])
-                    and descriptors[index] is not None
-                    and descriptors[index].fingerprint
-                    in self._matrices
-                )
-            }
-            for index in remaining:
-                if index in futures:
-                    result, fallbacks, telemetry = self._await_point(
-                        futures[index], jobs[index], point_timeout
-                    )
-                    self._fallbacks(fallbacks)
-                    if telemetry is not None:
-                        self._absorb_job(index, telemetry)
-                    yield result
-                else:
-                    baseline = task_begin()
-                    if search_fan[index]:
-                        result = self._run_search_safe(
-                            jobs[index], descriptors[index], pool
-                        )
-                    else:
-                        result = self._run_sharded_safe(
-                            jobs[index], descriptors[index], pool,
-                            shard_counts[index],
-                        )
-                    parent = task_end(baseline)
-                    self.metrics.absorb(parent.metrics)
-                    merged = _merge_task_telemetry(
-                        parent, self._shard_telemetry
-                    )
-                    if index < len(self.last_run_telemetry):
-                        self.last_run_telemetry[index] = merged
-                    yield result
-        elif point_timeout is None and max_concurrent is None:
-            items = [
-                (jobs[index], descriptors[index], index)
-                for index in remaining
-            ]
-            for offset, (result, fallbacks, telemetry) in enumerate(
-                pool.map(
-                    _pool_worker, items, chunksize=self.chunksize
-                )
-            ):
-                self._fallbacks(fallbacks)
-                self._absorb_job(remaining[offset], telemetry)
-                yield result
-        else:
-            # Deadline enforcement needs per-point futures (map has
-            # no per-result timeout), and a concurrency cap needs
-            # windowed submission; both keep results in job order.
-            # An uncapped window equals the old submit-all path.
-            window = (
-                len(remaining) if max_concurrent is None
-                else max_concurrent
+                pending.append((index, None if fanned[index] else (
+                    pool.submit(_run_task, task)
+                )))
+
+        fill()
+        while pending:
+            index, future = pending.popleft()
+            job = jobs[index]
+            deadline = (
+                None if point_timeout is None
+                else _os_clock() + point_timeout
             )
-            pending: List[Tuple[int, "Future[Any]"]] = []
-            cursor = 0
+            telemetry: Optional[TaskTelemetry] = None
+            try:
+                if future is None:
+                    result, telemetry = self._run_fanned(
+                        job, descriptors[index], pool,
+                        shard_counts[index], deadline,
+                    )
+                else:
+                    result, fallbacks, telemetry = _await(
+                        future, deadline
+                    )
+                    self._absorb(fallbacks, telemetry)
+            except DeadlineError:
+                if future is not None:
+                    future.cancel()
+                result = self._timed_out(job, point_timeout)
+            fill()
+            if telemetry is not None:
+                self.last_run_telemetry[index] = telemetry
+            yield result
 
-            def _fill() -> None:
-                nonlocal cursor
-                while len(pending) < window \
-                        and cursor < len(remaining):
-                    index = remaining[cursor]
-                    cursor += 1
-                    pending.append((index, pool.submit(
-                        _pool_worker,
-                        (jobs[index], descriptors[index], index),
-                    )))
+    def _gather(
+        self,
+        pool: ProcessPoolExecutor,
+        tasks: Sequence[Task],
+        kind: str,
+        deadline: Optional[float],
+    ) -> Tuple[List[Any], List[TaskTelemetry]]:
+        """Run ``tasks`` on ``pool``: their values and telemetry, in order.
 
-            _fill()
-            while pending:
-                index, future = pending.pop(0)
-                result, fallbacks, telemetry = self._await_point(
-                    future, jobs[index], point_timeout
-                )
-                _fill()
-                self._fallbacks(fallbacks)
-                if telemetry is not None:
-                    self._absorb_job(index, telemetry)
-                yield result
+        A task that raises is re-run alone, up to
+        :attr:`SHARD_RETRY_ATTEMPTS` attempts in all, after a
+        schedule-derived delay, counted as ``engine.{kind}_retries``.
+        Every task is a pure function of its payload, so a re-run
+        cannot change the merged result.  A broken pool and a missed
+        ``deadline`` propagate to the dispatcher; tasks still queued
+        then are cancelled.  Fallbacks and each task's metrics go into
+        the runner's registry here.
+        """
+        futures = [pool.submit(_run_task, task) for task in tasks]
+        delays = backoff_schedule(self.SHARD_RETRY_ATTEMPTS - 1)
+        values: List[Any] = []
+        telemetry: List[TaskTelemetry] = []
+        try:
+            for index, task in enumerate(tasks):
+                for attempt in range(1, self.SHARD_RETRY_ATTEMPTS + 1):
+                    try:
+                        value, fallbacks, record = _await(
+                            futures[index], deadline
+                        )
+                        break
+                    except (BrokenProcessPool, DeadlineError):
+                        raise
+                    except Exception as error:  # noqa: BLE001
+                        if attempt >= self.SHARD_RETRY_ATTEMPTS:
+                            raise
+                        logger.warning(
+                            "%s task %d failed (attempt %d/%d), "
+                            "re-running: %s", kind, index, attempt,
+                            self.SHARD_RETRY_ATTEMPTS, error,
+                        )
+                        self.metrics.counter(
+                            f"engine.{kind}_retries"
+                        ).inc()
+                        _sleep(delays[attempt - 1])
+                        futures[index] = pool.submit(_run_task, task)
+                self._absorb(fallbacks, record)
+                values.append(value)
+                telemetry.append(record)
+        finally:
+            for future in futures:
+                future.cancel()
+        return values, telemetry
 
-    def _run_sharded_safe(
+    def _run_fanned(
         self,
         job: BatchJob,
         descriptor: DenseDescriptor,
         pool: ProcessPoolExecutor,
         num_shards: int,
-    ) -> BatchResult:
-        """The sharded job under the runner's failure policy."""
-        attempts = self.retries + 1
-        for attempt in range(1, attempts + 1):
-            try:
-                return self._run_sharded(
-                    job, descriptor, pool, num_shards
+        deadline: Optional[float],
+    ) -> Tuple[BatchResult, TaskTelemetry]:
+        """One sharded or island-fanned point, run from the parent.
+
+        Its tasks go through :meth:`_gather` under the point's
+        ``deadline``; the merge, the exact polish and the accounting
+        run here over the shared matrix.  The job failure policy
+        wraps the whole point.  Returns the result and its telemetry:
+        the parent-side part merged with the last attempt's tasks'.
+        """
+        baseline = task_begin()
+        tasks: List[TaskTelemetry] = []
+
+        def gather(kind: str, batch: List[Task]) -> List[Any]:
+            values, records = self._gather(pool, batch, kind, deadline)
+            tasks.extend(records)
+            return values
+
+        def attempt() -> SweepPoint:
+            tasks.clear()
+            if self._job_search_mode(job):
+                self.metrics.counter("engine.jobs_search_fanned").inc()
+                seams = self._search_seams(job, descriptor, gather)
+            else:
+                self.metrics.counter("engine.jobs_sharded").inc()
+                seams = self._shard_seams(
+                    job, descriptor, num_shards, gather
                 )
-            except BrokenProcessPool:
-                raise  # pool-level: the whole batch is over
-            except Exception as error:  # noqa: BLE001 - policy boundary
-                if attempt < attempts:
-                    logger.warning(
-                        "sharded job %s failed (attempt %d/%d), "
-                        "retrying: %s",
-                        job.describe(), attempt, attempts, error,
-                    )
-                    continue
-                if self.on_error == "record":
-                    logger.error(
-                        "sharded job %s failed permanently: %s: %s",
-                        job.describe(), type(error).__name__, error,
-                    )
-                    return FailedPoint(
-                        job=job,
-                        error_type=type(error).__name__,
-                        error_message=str(error),
-                        attempts=attempt,
-                    )
-                raise
-        raise AssertionError("unreachable")  # pragma: no cover
+            return evaluate_point(
+                job.soc,
+                job.total_width,
+                num_tams=job.num_tams,
+                tables=self._merge_tables[descriptor.fingerprint],
+                dense=self._matrices[descriptor.fingerprint],
+                **seams,
+                **job.options_dict(),
+            )
 
-    def _run_search_safe(
+        result = _with_policy(job, self.on_error, self.retries, attempt)
+        if deadline is not None and _os_clock() > deadline:
+            raise DeadlineError("wall-clock deadline passed")
+        parent = task_end(baseline)
+        self.metrics.absorb(parent.metrics)
+        return result, _merge_task_telemetry(parent, tasks)
+
+    def _search_seams(
         self,
         job: BatchJob,
         descriptor: DenseDescriptor,
-        pool: ProcessPoolExecutor,
-    ) -> BatchResult:
-        """The island-fanned search job under the failure policy."""
-        attempts = self.retries + 1
-        for attempt in range(1, attempts + 1):
-            try:
-                return self._run_search(job, descriptor, pool)
-            except BrokenProcessPool:
-                raise  # pool-level: the whole batch is over
-            except Exception as error:  # noqa: BLE001 - policy boundary
-                if attempt < attempts:
-                    logger.warning(
-                        "search job %s failed (attempt %d/%d), "
-                        "retrying: %s",
-                        job.describe(), attempt, attempts, error,
-                    )
-                    continue
-                if self.on_error == "record":
-                    logger.error(
-                        "search job %s failed permanently: %s: %s",
-                        job.describe(), type(error).__name__, error,
-                    )
-                    return FailedPoint(
-                        job=job,
-                        error_type=type(error).__name__,
-                        error_message=str(error),
-                        attempts=attempt,
-                    )
-                raise
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    def _run_search(
-        self,
-        job: BatchJob,
-        descriptor: DenseDescriptor,
-        pool: ProcessPoolExecutor,
-    ) -> SweepPoint:
-        """Run one search job with its islands fanned across the pool.
+        gather: Callable[[str, List[Task]], List[Any]],
+    ) -> Dict[str, Any]:
+        """The island fan-out seam of one search point.
 
         The fixed :data:`repro.search.NUM_ISLANDS` island runs
-        execute as worker tasks over the already-shared dense matrix,
+        execute as pool tasks over the already-shared dense matrix,
         publishing incumbent improvements through a shared-memory
         board; the deterministic merge, the exact polish, and the
-        certificate/utilization accounting run here in the parent
-        over the same matrix.  The result is bit-identical to inline
-        execution — island seeds and eval shares derive from the
-        fixed island count, never from the worker count.
+        certificate/utilization accounting run in the parent over the
+        same matrix.  The result is bit-identical to inline execution
+        — island seeds and eval shares derive from the fixed island
+        count, never from the worker count.
         """
-        self._shard_telemetry = []
-        matrix = self._matrices[descriptor.fingerprint]
-        tables = self._merge_tables[descriptor.fingerprint]
 
         def islands(plans: Sequence[Any]) -> List[Any]:
             self.metrics.counter("search.islands_planned").inc(
                 len(plans)
             )
-            board = IncumbentBoard.create(len(plans), 1)
-            try:
-                board_descriptor = (
-                    board.descriptor() if board is not None else None
-                )
-                tasks = [
-                    (
-                        descriptor, board_descriptor, plan, job.soc,
-                        job.total_width,
+            with _incumbent_board(len(plans), 1) as board:
+                return gather("island", [
+                    Task(
+                        _island_task,
+                        (descriptor, board, plan, job.soc,
+                         job.total_width),
+                        plan.island_index,
                     )
                     for plan in plans
-                ]
-                futures = [
-                    pool.submit(_search_worker, task)
-                    for task in tasks
-                ]
-                retry_delays = backoff_schedule(
-                    self.SHARD_RETRY_ATTEMPTS - 1
-                )
-                results = []
-                for island_index, future in enumerate(futures):
-                    # Island-level retry: re-running an island is
-                    # deterministic (a pure function of its plan and
-                    # seed), so the merged result stays bit-identical.
-                    for attempt in range(self.SHARD_RETRY_ATTEMPTS):
-                        try:
-                            result, fallbacks, telemetry = (
-                                future.result()
-                            )
-                            break
-                        except BrokenProcessPool:
-                            raise
-                        except Exception as error:  # noqa: BLE001
-                            if (attempt + 1
-                                    >= self.SHARD_RETRY_ATTEMPTS):
-                                raise
-                            logger.warning(
-                                "island %d of %s failed (attempt "
-                                "%d/%d), re-running: %s",
-                                island_index, job.describe(),
-                                attempt + 1,
-                                self.SHARD_RETRY_ATTEMPTS, error,
-                            )
-                            self.metrics.counter(
-                                "engine.island_retries"
-                            ).inc()
-                            _sleep(retry_delays[attempt])
-                            future = pool.submit(
-                                _search_worker, tasks[island_index]
-                            )
-                    self._fallbacks(fallbacks)
-                    self.metrics.absorb(telemetry.metrics)
-                    self._shard_telemetry.append(telemetry)
-                    results.append(result)
-                return results
-            finally:
-                if board is not None:
-                    board.close()
+                ])
 
-        self.metrics.counter("engine.jobs_search_fanned").inc()
-        return evaluate_point(
-            job.soc,
-            job.total_width,
-            num_tams=job.num_tams,
-            tables=tables,
-            dense=matrix,
-            search_islands=islands,
-            **job.options_dict(),
-        )
+        return {"search_islands": islands}
 
-    def _run_sharded(
+    def _shard_seams(
         self,
         job: BatchJob,
         descriptor: DenseDescriptor,
-        pool: ProcessPoolExecutor,
         num_shards: int,
-    ) -> SweepPoint:
-        """Run one job with its partition sweep fanned across the pool.
+        gather: Callable[[str, List[Task]], List[Any]],
+    ) -> Dict[str, Any]:
+        """The sweep and polish fan-out seams of one sharded point.
 
-        Step 1 (the sweep) executes as ``num_shards`` worker tasks
-        over the already-shared dense matrix, with incumbents
-        broadcast through a shared-memory board; the deterministic
-        merge, the exact polish, and the certificate/utilization
-        accounting run here in the parent over the same matrix.  The
-        result is bit-identical to whole-job execution.
+        Step 1 (the sweep) executes as ``num_shards`` pool tasks over
+        the already-shared dense matrix, with incumbents broadcast
+        through a shared-memory board; the deterministic merge and
+        the certificate/utilization accounting run in the parent over
+        the same matrix, and a top-k exact polish fans its candidates
+        back out over the pool.  The result is bit-identical to
+        whole-job execution.
         """
-        self._shard_telemetry = []
         matrix = self._matrices[descriptor.fingerprint]
-        tables = self._merge_tables[descriptor.fingerprint]
 
         def sweep(
             table_list: Sequence[TimeTable],
@@ -1727,79 +1618,19 @@ class BatchRunner:
                     plan.num_shards
                 )
                 # Unpruned sweeps never read the board; skip it.
-                board = (
-                    IncumbentBoard.create(plan.num_shards, keep_top)
-                    if prune else None
-                )
-                try:
-                    board_descriptor = (
-                        board.descriptor()
-                        if board is not None else None
-                    )
-                    tasks = [
-                        (
-                            descriptor, board_descriptor, index,
-                            shard_spans, job.soc, total_width,
-                            keep_top, initial_best, prune,
+                with _incumbent_board(
+                    plan.num_shards, keep_top, enabled=bool(prune)
+                ) as board:
+                    return gather("shard", [
+                        Task(
+                            _shard_task,
+                            (descriptor, board, index, shard_spans,
+                             job.soc, total_width, keep_top,
+                             initial_best, prune),
+                            index,
                         )
-                        for index, shard_spans
-                        in enumerate(plan.shards)
-                    ]
-                    futures = [
-                        pool.submit(_shard_worker, task)
-                        for task in tasks
-                    ]
-                    retry_delays = backoff_schedule(
-                        self.SHARD_RETRY_ATTEMPTS - 1
-                    )
-                    outcomes = []
-                    for shard_index, future in enumerate(futures):
-                        # Shard-level retry: a shard task that fails
-                        # with an ordinary exception re-runs alone
-                        # (bounded, schedule-backed) instead of
-                        # restarting the whole job.  Re-running is
-                        # deterministic — sweep_shard's completions
-                        # are a pure function of the shard's rank
-                        # range — so the merged result stays
-                        # bit-identical.  Pool-level breakage still
-                        # propagates to the grid supervisor.
-                        for attempt in range(
-                            self.SHARD_RETRY_ATTEMPTS
-                        ):
-                            try:
-                                outcome, fallbacks, telemetry = (
-                                    future.result()
-                                )
-                                break
-                            except BrokenProcessPool:
-                                raise
-                            except Exception as error:  # noqa: BLE001
-                                if (attempt + 1
-                                        >= self.SHARD_RETRY_ATTEMPTS):
-                                    raise
-                                logger.warning(
-                                    "shard %d of %s failed (attempt "
-                                    "%d/%d), re-running: %s",
-                                    shard_index, job.describe(),
-                                    attempt + 1,
-                                    self.SHARD_RETRY_ATTEMPTS, error,
-                                )
-                                self.metrics.counter(
-                                    "engine.shard_retries"
-                                ).inc()
-                                _sleep(retry_delays[attempt])
-                                future = pool.submit(
-                                    _shard_worker,
-                                    tasks[shard_index],
-                                )
-                        self._fallbacks(fallbacks)
-                        self.metrics.absorb(telemetry.metrics)
-                        self._shard_telemetry.append(telemetry)
-                        outcomes.append(outcome)
-                    return outcomes
-                finally:
-                    if board is not None:
-                        board.close()
+                        for index, shard_spans in enumerate(plan.shards)
+                    ])
 
             return sharded_partition_evaluate(
                 None, total_width, tam_counts, num_shards,
@@ -1808,63 +1639,19 @@ class BatchRunner:
             )
 
         def polish_runner(tasks: Sequence[Any]) -> List[Any]:
-            """Fan the top-k exact-polish solves across the pool.
-
-            Each task is independent (the serial loop never threads
-            one candidate's solution into the next solve), so results
-            come back in candidate order and the caller's first-
-            strict-minimum reduction matches the serial polish
-            bit for bit.
-            """
+            # Each polish task is independent (the serial loop never
+            # threads one candidate's solution into the next solve),
+            # so results come back in candidate order and the
+            # caller's first-strict-minimum reduction matches the
+            # serial polish bit for bit.
             self.metrics.counter("engine.polish_tasks_fanned").inc(
                 len(tasks)
             )
-            futures = [
-                pool.submit(_polish_worker, task) for task in tasks
-            ]
-            retry_delays = backoff_schedule(
-                self.SHARD_RETRY_ATTEMPTS - 1
+            return gather(
+                "polish", [Task(_polish_task, task) for task in tasks]
             )
-            exacts = []
-            for task_index, future in enumerate(futures):
-                for attempt in range(self.SHARD_RETRY_ATTEMPTS):
-                    try:
-                        exact, telemetry = future.result()
-                        break
-                    except BrokenProcessPool:
-                        raise
-                    except Exception as error:  # noqa: BLE001
-                        if attempt + 1 >= self.SHARD_RETRY_ATTEMPTS:
-                            raise
-                        logger.warning(
-                            "polish task %d of %s failed (attempt "
-                            "%d/%d), re-running: %s",
-                            task_index, job.describe(), attempt + 1,
-                            self.SHARD_RETRY_ATTEMPTS, error,
-                        )
-                        self.metrics.counter(
-                            "engine.polish_retries"
-                        ).inc()
-                        _sleep(retry_delays[attempt])
-                        future = pool.submit(
-                            _polish_worker, tasks[task_index]
-                        )
-                self.metrics.absorb(telemetry.metrics)
-                self._shard_telemetry.append(telemetry)
-                exacts.append(exact)
-            return exacts
 
-        self.metrics.counter("engine.jobs_sharded").inc()
-        return evaluate_point(
-            job.soc,
-            job.total_width,
-            num_tams=job.num_tams,
-            tables=tables,
-            dense=matrix,
-            sweep=sweep,
-            polish_runner=polish_runner,
-            **job.options_dict(),
-        )
+        return {"sweep": sweep, "polish_runner": polish_runner}
 
     def run(
         self,

@@ -243,6 +243,15 @@ class Tracer:
         """Back to the no-op fast path (collected spans remain)."""
         self.enabled = False
 
+    def reset(self) -> None:
+        """Drop every open and finished span of this process.
+
+        A forked pool worker inherits the parent's open spans; without
+        this its own spans would nest under them and never finish.
+        """
+        self._local = threading.local()
+        self.drain()
+
     def drain(self) -> List[SpanRecord]:
         """Claim (and clear) every finished root span so far."""
         with self._lock:

@@ -3,7 +3,14 @@
 import pytest
 
 import repro.engine.shm as shm
-from repro.engine.batch import BatchJob, BatchRunner, _run_job_cached
+from repro.engine.batch import (
+    BatchJob,
+    BatchRunner,
+    Task,
+    _point_task,
+    _run_task,
+    _Worker,
+)
 from repro.engine.kernel import build_dense_matrix, dense_time_tables
 from repro.engine.shm import (
     IncumbentBoard,
@@ -15,6 +22,12 @@ from repro.engine.shm import (
 from repro.api.specs import GridSpec
 from repro.soc.fingerprint import soc_fingerprint
 from repro.wrapper.pareto import build_time_tables
+
+
+def run_point(caches, job, descriptor=None):
+    """One job through the pool's task entry point, in-process:
+    ``(result, fallbacks, telemetry)``."""
+    return _run_task(Task(_point_task, (job, descriptor)), _Worker(caches))
 
 
 def _drop(fingerprint):
@@ -200,7 +213,7 @@ class TestStaircaseTransport:
                 designs=design_steps_blob(table_list),
             )
             job = BatchJob(tiny_soc, 8, 2, options={"polish": False})
-            reference = _run_job_cached({}, job)
+            reference = run_point({}, job)[0]
 
             import repro.engine.kernel as kernel_module
             import repro.wrapper.pareto as pareto
@@ -213,9 +226,7 @@ class TestStaircaseTransport:
                 kernel_module, "design_wrapper", exploding
             )
             caches = {}
-            point = _run_job_cached(
-                caches, job, descriptor=descriptor
-            )
+            point = run_point(caches, job, descriptor)[0]
             assert point == reference
             assert caches == {}
         finally:
@@ -276,8 +287,7 @@ class TestFallbackCounter:
         assert runner.shm_fallbacks == 0
         # Worker-path fallback: a descriptor whose segment is gone
         # forces the silent private rebuild — exercised in-process
-        # through the same tracked entry point the pool worker uses.
-        from repro.engine.batch import _run_job_safe
+        # through the same task entry point the pool worker uses.
         from repro.engine.shm import DenseDescriptor
 
         tables = build_time_tables(tiny_soc, 8)
@@ -290,9 +300,7 @@ class TestFallbackCounter:
             total_width=matrix.total_width,
             shm_name="psm_gone_repro",
         )
-        result, fallbacks = _run_job_safe(
-            {}, jobs[0], "raise", 0, descriptor=descriptor,
-        )
+        result, fallbacks, _ = run_point({}, jobs[0], descriptor)
         assert fallbacks == 1
         assert result == BatchRunner(max_workers=1).run([jobs[0]])[0]
 

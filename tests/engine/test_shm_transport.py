@@ -3,7 +3,14 @@
 import pytest
 
 import repro.engine.shm as shm
-from repro.engine.batch import BatchJob, BatchRunner
+from repro.engine.batch import (
+    BatchJob,
+    BatchRunner,
+    Task,
+    _point_task,
+    _run_task,
+    _Worker,
+)
 from repro.engine.kernel import build_dense_matrix
 from repro.engine.shm import DenseDescriptor, SegmentRegistry, attach
 from repro.soc.fingerprint import soc_fingerprint
@@ -14,6 +21,14 @@ def _drop(fingerprint):
     """Release a worker-cache entry the way the eviction path does."""
     if fingerprint in shm._ATTACHED:
         shm._release_entry(fingerprint)
+
+
+def run_point(caches, job, descriptor=None):
+    """One job through the pool's task entry point, in-process."""
+    point, _, _ = _run_task(
+        Task(_point_task, (job, descriptor)), _Worker(caches)
+    )
+    return point
 
 
 def matrix_for(soc, width):
@@ -161,8 +176,6 @@ class TestWorkerDensePath:
 
     def test_stale_descriptor_falls_back_to_cache(self, tiny_soc):
         # A descriptor for *different* SOC content must be ignored.
-        from repro.engine.batch import _run_job_cached
-
         matrix = matrix_for(tiny_soc, 8)
         descriptor = DenseDescriptor(
             fingerprint="not-this-soc",
@@ -171,15 +184,14 @@ class TestWorkerDensePath:
             payload=matrix.to_bytes(),
         )
         job = BatchJob(tiny_soc, 6, 2)
-        from_cache = _run_job_cached({}, job)
-        via_descriptor = _run_job_cached({}, job, descriptor=descriptor)
+        from_cache = run_point({}, job)
+        via_descriptor = run_point({}, job, descriptor)
         assert from_cache == via_descriptor
 
     def test_matching_descriptor_used_without_table_builds(
         self, tiny_soc, monkeypatch
     ):
         import repro.wrapper.pareto as pareto
-        from repro.engine.batch import _run_job_cached
 
         matrix = matrix_for(tiny_soc, 8)
         descriptor = DenseDescriptor(
@@ -189,7 +201,7 @@ class TestWorkerDensePath:
             payload=matrix.to_bytes(),
         )
         job = BatchJob(tiny_soc, 8, 2, options={"polish": False})
-        reference = _run_job_cached({}, job)
+        reference = run_point({}, job)
 
         def exploding(core, width):
             raise AssertionError(
@@ -209,7 +221,7 @@ class TestWorkerDensePath:
         import repro.engine.kernel as kernel_module
         monkeypatch.setattr(kernel_module, "design_wrapper", counting)
         caches = {}
-        point = _run_job_cached(caches, job, descriptor=descriptor)
+        point = run_point(caches, job, descriptor)
         assert point == reference
         assert caches == {}  # no private WrapperTableCache created
         # Designs ran only for the final architecture's bus widths.
