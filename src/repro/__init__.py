@@ -20,7 +20,8 @@ Layered API (bottom-up, matching the paper's problem progression):
   :class:`repro.wrapper.TimeTable`;
 * **P_AW** — :func:`repro.assign.core_assign` (heuristic, Fig. 1),
   :func:`repro.assign.exact_assign` (exact branch-and-bound),
-  :func:`repro.assign.solve_paw_ilp` (the literal ILP of [8]);
+  :func:`repro.assign.solve_paw_ilp` (the literal ILP of [8]; needs
+  the optional ``ilp`` extra, numpy + scipy);
 * **P_PAW / P_NPAW** — :func:`repro.partition.partition_evaluate`
   (Fig. 3), :func:`repro.optimize.co_optimize` (the full method),
   :func:`repro.optimize.exhaustive_optimize` (the [8] baseline);

@@ -15,7 +15,9 @@ this subpackage provides one from scratch:
 The dedicated combinatorial solver in :mod:`repro.assign.exact` is
 much faster on P_AW's structure; this generic path exists for
 fidelity to the paper and as an independent cross-check (the two are
-tested against each other).
+tested against each other).  It needs numpy and scipy, the optional
+``ilp`` extra (``pip install .[ilp]``); nothing else in the package
+imports it.
 """
 
 from repro.ilp.model import LinExpr, Model, Variable

@@ -11,6 +11,9 @@
 
 Use :func:`get_benchmark` / :func:`benchmark_names` for programmatic
 access; every module also exposes a ``build()`` function.
+:func:`get_benchmark` builds each SOC once per process and hands out
+that same frozen :class:`~repro.soc.soc.Soc` from then on (DESIGN.md
+§14); call a module's ``build()`` for a fresh copy.
 """
 
 from __future__ import annotations
@@ -27,6 +30,10 @@ _REGISTRY: Dict[str, Callable[[], Soc]] = {
     "p93791": p93791.build,
 }
 
+# name -> the SOC built on first request.  A Soc is a frozen dataclass
+# over tuples of frozen Cores, so every caller can share one instance.
+_BUILT: Dict[str, Soc] = {}
+
 
 def benchmark_names() -> List[str]:
     """Names of all embedded benchmark SOCs."""
@@ -34,17 +41,23 @@ def benchmark_names() -> List[str]:
 
 
 def get_benchmark(name: str) -> Soc:
-    """Build the named benchmark SOC.
+    """The named benchmark SOC, built on the first call for that name.
 
-    Raises ``KeyError`` with the list of valid names when unknown.
+    Later calls return the same object.  Raises ``KeyError`` with the
+    list of valid names when unknown.
     """
+    soc = _BUILT.get(name)
+    if soc is not None:
+        return soc
     try:
         factory = _REGISTRY[name]
     except KeyError:
         raise KeyError(
             f"unknown benchmark {name!r}; available: {benchmark_names()}"
         ) from None
-    return factory()
+    # Two threads racing on a first build both build; the first stored
+    # copy wins, and the copies are equal anyway.
+    return _BUILT.setdefault(name, factory())
 
 
 __all__ = ["benchmark_names", "get_benchmark",

@@ -2,6 +2,9 @@
 
 import pytest
 
+# The ILP oracle runs on numpy + scipy (the optional ``ilp`` extra).
+pytest.importorskip("scipy")
+
 from repro.assign.exact import exact_assign
 from repro.assign.ilp_model import (
     build_paw_model,

@@ -2,6 +2,9 @@
 
 import pytest
 
+# The ILP oracle runs on numpy + scipy (the optional ``ilp`` extra).
+pytest.importorskip("scipy")
+
 from repro.exceptions import ConfigurationError
 from repro.ilp.branch_and_bound import BranchAndBound, solve_model
 from repro.ilp.model import LinExpr, Model

@@ -2,6 +2,9 @@
 
 import pytest
 
+# The ILP oracle runs on numpy + scipy (the optional ``ilp`` extra).
+pytest.importorskip("scipy")
+
 from repro.ilp.model import Model
 from repro.ilp.simplex import LpRelaxation
 

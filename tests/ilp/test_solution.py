@@ -1,5 +1,10 @@
 """Unit tests for Solution / SolveStatus."""
 
+import pytest
+
+# The ILP oracle runs on numpy + scipy (the optional ``ilp`` extra).
+pytest.importorskip("scipy")
+
 from repro.ilp.model import Model
 from repro.ilp.solution import Solution, SolveStatus
 

@@ -2,8 +2,12 @@
 
 from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+# The ILP oracle runs on numpy + scipy (the optional ``ilp`` extra).
+pytest.importorskip("scipy")
 
 from repro.ilp.branch_and_bound import solve_model
 from repro.ilp.model import LinExpr, Model
