@@ -3,18 +3,36 @@
 The store's pitch is simple: ``design_wrapper`` output depends only
 on core structure, so pay for it once per machine, not once per
 process.  This bench builds p93791's wrapper time tables cold
-(every ``design_wrapper`` call), then reloads them from the on-disk
-:class:`repro.service.store.TableStore` and asserts the warm path
-performs **zero** wrapper designs and is decisively faster.
+(every ``design_wrapper`` call up to each core's time floor), then
+reloads them from the on-disk :class:`repro.service.store.TableStore`
+and asserts the warm path performs **zero** wrapper designs and is
+decisively faster.
 """
 
+import importlib.util
 import time
+from pathlib import Path
 
 from repro.engine.cache import WrapperTableCache
 from repro.report.experiments import rows_to_table
 from repro.service.store import TableStore
 
 WIDTH = 24
+
+REFERENCE = (
+    Path(__file__).parent.parent / "tests" / "wrapper"
+    / "_wrapper_reference.py"
+)
+
+
+def reference_design_calls(cores, width):
+    """Designs a cold build must pay, per the frozen test reference."""
+    spec = importlib.util.spec_from_file_location("reference", REFERENCE)
+    reference = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reference)
+    return sum(
+        len(reference.paid_widths(core, 0, width)) for core in cores
+    )
 
 
 def test_warm_store_skips_wrapper_design(
@@ -26,7 +44,9 @@ def test_warm_store_skips_wrapper_design(
     cold_cache = WrapperTableCache(p93791, store=store)
     cold_cache.tables(WIDTH)
     cold_seconds = time.perf_counter() - start
-    assert cold_cache.design_calls() == len(p93791.cores) * WIDTH
+    assert cold_cache.design_calls() == reference_design_calls(
+        p93791.cores, WIDTH
+    )
 
     def warm_load():
         cache = WrapperTableCache(p93791, store=store)

@@ -16,9 +16,9 @@ process pool when a runner with workers is passed in.  Either way the
 wrapper time tables are built once per core via
 :class:`repro.engine.WrapperTableCache` and shared by the optimizer,
 the certificate, and the utilization accounting — a width sweep over
-``1..W`` performs exactly one ``design_wrapper`` call per
-(core, width) pair instead of the O(W²) a rebuild-per-point strategy
-would pay.
+``1..W`` performs at most one ``design_wrapper`` call per
+(core, width) pair, and none past the core's time floor, instead of
+the O(W²) a rebuild-per-point strategy would pay.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ but a naive pool would re-run ``Design_wrapper`` per point.  The
 * **inline mode** (``max_workers=1``, the default for the sequential
   sweeps in :mod:`repro.analysis.sweep`): jobs run in the calling
   process against runner-owned :class:`~repro.engine.cache.
-  WrapperTableCache` s, one per SOC, so a width sweep pays one
-  wrapper design per (core, width) pair in total;
+  WrapperTableCache` s, one per SOC, so a width sweep pays at most
+  one wrapper design per (core, width) pair in total;
 * **pool mode** (``max_workers > 1`` or ``None`` = one per CPU):
   jobs fan out over a ``concurrent.futures`` process pool.  Each
   worker process keeps its own module-level cache per SOC, so every

@@ -7,9 +7,10 @@ therefore keeps exactly one table per core, built lazily at the
 largest width any consumer has requested and *extended in place*
 (:meth:`~repro.wrapper.pareto.TimeTable.extend_to`) when a larger
 width arrives.  Every consumer receives the same table objects, so a
-width sweep over ``1..W`` costs one ``design_wrapper`` call per
-(core, width) pair — O(W) designs per core instead of the O(W²) a
-rebuild-per-width strategy pays.
+width sweep over ``1..W`` costs at most one ``design_wrapper`` call
+per (core, width) pair — O(W) designs per core instead of the O(W²) a
+rebuild-per-width strategy pays — and none for the widths past the
+core's time floor, which no wider wrapper can beat.
 
 With a persistent backing (``store=``, a :class:`repro.service.store.
 TableStore`), the first build of each table is attempted from disk —
@@ -56,9 +57,6 @@ class WrapperTableCache:
         self.soc = soc
         self.store = store
         self._tables: Dict[str, TimeTable] = {}
-        #: Widths that came off disk for free, per core name — what
-        #: :meth:`design_calls` subtracts from table coverage.
-        self._prepaid: Dict[str, int] = {}
         #: Width last persisted per core name, to skip no-op saves.
         self._saved: Dict[str, int] = {}
 
@@ -94,7 +92,6 @@ class WrapperTableCache:
                         table = TimeTable(core, max_width)
                     else:
                         REGISTRY.counter("cache.table_loads").inc()
-                        self._prepaid[core.name] = table.max_width
                         self._saved[core.name] = table.max_width
                         table.extend_to(max_width)
                     self._tables[core.name] = table
@@ -142,10 +139,8 @@ class WrapperTableCache:
     def design_calls(self) -> int:
         """Total ``design_wrapper`` invocations this cache has paid for.
 
-        Widths loaded from a persistent store came for free and are
-        excluded — a fully warm store yields coverage with zero calls.
+        The sum of the tables' own counts: widths loaded from a
+        persistent store and widths past a core's time floor came for
+        free — a fully warm store yields coverage with zero calls.
         """
-        return sum(
-            table.max_width - self._prepaid.get(name, 0)
-            for name, table in self._tables.items()
-        )
+        return sum(table.design_calls for table in self._tables.values())

@@ -955,7 +955,7 @@ class DenseTimeTable:
 
     @property
     def min_time(self) -> int:
-        """Testing time at the full table width (the core's floor)."""
+        """Testing time at the full table width (the table's best)."""
         return self.time(self.max_width)
 
     def dense_row(self, max_width: int) -> List[int]:

@@ -21,7 +21,6 @@ the lowest bin index.
 
 from __future__ import annotations
 
-import heapq
 from typing import List, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
@@ -116,7 +115,13 @@ def balance_units(
     given to bin ``i``; ``max_load`` the resulting maximum total load.
 
     Greedily placing unit items on the currently least-loaded bin is
-    exactly optimal for unit weights, so this is not a heuristic.
+    exactly optimal for unit weights, so this is not a heuristic.  It
+    is computed in closed form by water-filling, which places exactly
+    what that greedy places, ties included: every bin below a level
+    ``L`` is raised to ``L`` (the highest level the units can reach),
+    and the ``r`` units left over go one each to the bins at ``L``,
+    in-use bins first, then by index.  A bin counts as in use once it
+    has received a unit, as it does in the greedy.
     """
     if num_units < 0:
         raise ConfigurationError(f"num_units must be >= 0, got {num_units}")
@@ -127,21 +132,30 @@ def balance_units(
     if used is None:
         used = [load > 0 for load in initial_loads]
 
-    placements = [0] * len(initial_loads)
-    # Heap entries: (load, unused_penalty, bin_index).  unused_penalty
-    # orders used bins before unused ones at equal load.
-    heap = [
-        (load, 0 if used[index] else 1, index)
-        for index, load in enumerate(initial_loads)
+    # The lowest ``count`` bins share the water; ``count`` grows while
+    # raising them to the next bin's load costs no more than the units.
+    ordered = sorted(initial_loads)
+    count = 1
+    water = ordered[0]
+    for load in ordered[1:]:
+        if count * load - water > num_units:
+            break
+        count += 1
+        water += load
+    level, left = divmod(num_units + water, count)
+    placements = [
+        level - load if load < level else 0 for load in initial_loads
     ]
-    heapq.heapify(heap)
-    for _ in range(num_units):
-        load, _, index = heapq.heappop(heap)
-        placements[index] += 1
-        heapq.heappush(heap, (load + 1, 0, index))
-
-    max_load = max(
-        load + placed
-        for load, placed in zip(initial_loads, placements)
-    )
+    if left:
+        at_level = sorted(
+            (
+                0 if placements[index] or used[index] else 1,
+                index,
+            )
+            for index, load in enumerate(initial_loads)
+            if load <= level
+        )
+        for _, index in at_level[:left]:
+            placements[index] += 1
+    max_load = max(level + (1 if left else 0), ordered[-1])
     return placements, max_load

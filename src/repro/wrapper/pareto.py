@@ -11,7 +11,9 @@ core (the paper's Line 6 of ``Core_assign`` does the equivalent), so
 the assignment and partition layers evaluate T(i, w) by O(1) lookup.
 It also exposes the Pareto breakpoints — the widths at which the
 staircase actually drops — which downstream search can use to skip
-redundant widths.
+redundant widths.  Once the staircase reaches the core's
+:func:`time_floor`, which no width can beat, the rest of the table is
+filled without running ``Design_wrapper`` again.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from repro.soc.core import Core
 from repro.soc.soc import Soc
 from repro.wrapper.chain import WrapperDesign
 from repro.wrapper.design import design_wrapper
+from repro.wrapper.timing import testing_time
 
 
 class TimeTable:
@@ -44,6 +47,9 @@ class TimeTable:
             )
         self.core = core
         self.max_width = 0
+        #: ``design_wrapper`` calls this table has made (0 for a table
+        #: rebuilt by :meth:`from_staircase` until it is extended).
+        self.design_calls = 0
         self._times: List[int] = []
         self._designs: List[WrapperDesign] = []
         self.extend_to(max_width)
@@ -52,8 +58,12 @@ class TimeTable:
         """Grow the table in place to cover widths up to ``max_width``.
 
         Runs ``Design_wrapper`` only for the widths not yet tabulated,
-        so a table extended from ``w1`` to ``w2`` costs exactly
-        ``w2 - w1`` wrapper designs and is identical to a table built
+        and only until the staircase reaches :func:`time_floor`: no
+        wider wrapper can beat the floor, and the running minimum
+        keeps its incumbent unless strictly beaten, so every later
+        width gets the incumbent's time and design object without a
+        call.  A table extended from ``w1`` to ``w2`` therefore costs
+        at most ``w2 - w1`` designs and is identical to a table built
         fresh at ``w2``.  A no-op when the table already covers
         ``max_width``.
         """
@@ -63,14 +73,23 @@ class TimeTable:
         # entry carries the monotonization state to resume from.
         best_time = self._times[-1] if self._times else None
         best_design = self._designs[-1] if self._designs else None
-        for width in range(self.max_width + 1, max_width + 1):
+        floor = time_floor(self.core)
+        width = self.max_width + 1
+        while width <= max_width and (
+            best_time is None or best_time > floor
+        ):
             design = design_wrapper(self.core, width)
+            self.design_calls += 1
             time = design.testing_time
             if best_time is None or time < best_time:
                 best_time = time
                 best_design = design
             self._times.append(best_time)
             self._designs.append(best_design)  # type: ignore[arg-type]
+            width += 1
+        rest = max_width + 1 - width
+        self._times.extend([best_time] * rest)  # type: ignore[list-item]
+        self._designs.extend([best_design] * rest)  # type: ignore[list-item]
         self.max_width = max_width
 
     def time(self, width: int) -> int:
@@ -103,7 +122,7 @@ class TimeTable:
 
     @property
     def min_time(self) -> int:
-        """Testing time at the full table width (the core's floor)."""
+        """Testing time at the full table width (the table's best)."""
         return self._times[-1]
 
     @property
@@ -115,22 +134,11 @@ class TimeTable:
         testing time stops improving once the bottleneck core's bus
         reaches a threshold width.
         """
-        floor = self.min_time
-        for width in range(1, self.max_width + 1):
-            if self._times[width - 1] == floor:
-                return width
-        return self.max_width  # pragma: no cover - floor always found
+        return self.staircase()[-1][0]
 
     def pareto_points(self) -> List[Tuple[int, int]]:
         """(width, time) pairs where the staircase strictly drops."""
-        points: List[Tuple[int, int]] = []
-        previous: int | None = None
-        for width in range(1, self.max_width + 1):
-            time = self._times[width - 1]
-            if previous is None or time < previous:
-                points.append((width, time))
-                previous = time
-        return points
+        return [(width, time) for width, time, _ in self.staircase()]
 
     def staircase(self) -> List[Tuple[int, int, WrapperDesign]]:
         """(width, time, design) at each Pareto breakpoint.
@@ -191,6 +199,7 @@ class TimeTable:
         table = cls.__new__(cls)
         table.core = core
         table.max_width = max_width
+        table.design_calls = 0
         table._times = []
         table._designs = []
         step = -1
@@ -200,6 +209,24 @@ class TimeTable:
             table._times.append(steps[step][1])
             table._designs.append(steps[step][2])
         return table
+
+
+def time_floor(core: Core) -> int:
+    """A testing time no wrapper for ``core`` can beat, at any width.
+
+    Every design puts the longest internal scan chain ``L`` on one
+    wrapper chain, so ``si >= L`` and ``so >= L``; a core with input
+    (output) cells puts at least one on some chain, so ``si >= 1``
+    (``so >= 1``).  :func:`~repro.wrapper.timing.testing_time` is
+    non-decreasing in both lengths, hence bounded below by its value
+    at these minima.  See DESIGN.md, "Wrapper tables".
+    """
+    longest = core.longest_scan_chain
+    return testing_time(
+        core.num_patterns,
+        max(longest, 1 if core.num_input_cells else 0),
+        max(longest, 1 if core.num_output_cells else 0),
+    )
 
 
 def build_time_tables(

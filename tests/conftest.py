@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.soc.core import Core
@@ -87,3 +91,32 @@ def fig2_times():
 @pytest.fixture
 def fig2_widths():
     return [32, 16, 8]
+
+
+@pytest.fixture(scope="session")
+def expected_designs():
+    """Oracle for the ``design_wrapper`` calls a table build must make.
+
+    ``expected_designs(cores, start, stop)`` is the set of (core name,
+    width) pairs that growing each core's table from ``start`` to
+    ``stop`` designs: every width up to the core's floor width and
+    none past it, computed by the frozen reference in
+    ``tests/wrapper/_wrapper_reference.py``.
+    """
+    name = "_wrapper_reference"
+    reference = sys.modules.get(name)
+    if reference is None:
+        path = Path(__file__).parent / "wrapper" / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        reference = importlib.util.module_from_spec(spec)
+        sys.modules[name] = reference
+        spec.loader.exec_module(reference)
+
+    def expected(cores, start, stop):
+        return {
+            (core.name, width)
+            for core in cores
+            for width in reference.paid_widths(core, start, stop)
+        }
+
+    return expected

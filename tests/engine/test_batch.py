@@ -119,9 +119,12 @@ class TestSequentialEquivalence:
 
 class TestDesignCallBudget:
     """Acceptance criterion: a width sweep over 1..W on d695 performs
-    exactly one ``design_wrapper`` call per (core, width) pair."""
+    exactly one ``design_wrapper`` call per (core, width) pair up to
+    the core's floor width, and none past it."""
 
-    def test_width_sweep_is_linear_in_designs(self, d695, monkeypatch):
+    def test_width_sweep_is_linear_in_designs(
+        self, d695, monkeypatch, expected_designs
+    ):
         calls = []
         original = pareto.design_wrapper
 
@@ -133,10 +136,6 @@ class TestDesignCallBudget:
         max_width = 8
         points = sweep_widths(d695, range(1, max_width + 1))
         assert len(points) == max_width
-        expected = {
-            (core.name, width)
-            for core in d695.cores
-            for width in range(1, max_width + 1)
-        }
+        expected = expected_designs(d695.cores, 0, max_width)
         assert len(calls) == len(expected)  # one call per pair...
         assert set(calls) == expected       # ...covering every pair

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from repro.soc.core import Core
 from repro.wrapper.bfd import balance_units, pack_decreasing
 from repro.wrapper.design import design_wrapper
-from repro.wrapper.pareto import TimeTable
+from repro.wrapper.pareto import TimeTable, time_floor
 
 @st.composite
 def cores_strategy(draw):
@@ -96,6 +96,13 @@ class TestDesignWrapperProperties:
     def test_table_never_above_raw_design(self, core, width):
         table = TimeTable(core, max_width=16)
         assert table.time(width) <= design_wrapper(core, width).testing_time
+
+    @settings(max_examples=60, deadline=None)
+    @given(core=cores, width=st.integers(min_value=1, max_value=48))
+    def test_no_design_beats_the_time_floor(self, core, width):
+        # TimeTable stops designing once its staircase reaches the
+        # floor; that is only sound if no width ever goes below it.
+        assert time_floor(core) <= design_wrapper(core, width).testing_time
 
     @settings(max_examples=40, deadline=None)
     @given(core=cores, width=st.integers(min_value=1, max_value=12))

@@ -129,7 +129,7 @@ class TestStoreBackedCache:
             assert tables[core.name]._designs == fresh._designs
 
     def test_partially_warm_cache_pays_only_the_extension(
-        self, tiny_soc, store, monkeypatch
+        self, tiny_soc, store, monkeypatch, expected_designs
     ):
         WrapperTableCache(tiny_soc, store=store).tables(4)
 
@@ -143,11 +143,7 @@ class TestStoreBackedCache:
         monkeypatch.setattr(pareto, "design_wrapper", counting)
         warm = WrapperTableCache(tiny_soc, store=store)
         warm.tables(9)
-        expected = {
-            (core.name, width)
-            for core in tiny_soc.cores
-            for width in range(5, 10)
-        }
+        expected = expected_designs(tiny_soc.cores, 4, 9)
         assert set(calls) == expected
         assert len(calls) == len(expected)
         assert warm.design_calls() == len(expected)

@@ -60,7 +60,7 @@ class TestWarmBatchCLI:
         assert warm == cold
 
     def test_wider_rerun_pays_only_the_extension(
-        self, tmp_path, capsys, counted_designs, d695
+        self, tmp_path, capsys, counted_designs, d695, expected_designs
     ):
         cache = str(tmp_path / "tables")
         assert main(["batch", "d695", "-W", "6", "-B", "2",
@@ -70,11 +70,7 @@ class TestWarmBatchCLI:
                      "--jobs", "1", "--cache-dir", cache]) == 0
         capsys.readouterr()
         paid = set(counted_designs)
-        expected = {
-            (core.name, width)
-            for core in d695.cores
-            for width in range(7, 10)
-        }
+        expected = expected_designs(d695.cores, 6, 9)
         assert paid == expected
         assert len(counted_designs) == len(expected)
 
