@@ -16,14 +16,15 @@ The timing table also lands in ``results/sweep_kernel.txt``; the
 machine-readable record is *appended* to ``BENCH_sweep_kernel.json``
 at the repository root in the shared history schema of
 ``benchmarks/common.py`` (refreshed by the CI perf-smoke step), and
-the telemetry-overhead gate below holds the traced sweep to within
-5% of the recorded headline speedup.
+the telemetry-overhead gate below holds the traced kernel+lb sweep
+to within 5% of the same sweep untraced, timed side by side.
 """
 
+import statistics
 import time
 from pathlib import Path
 
-from common import append_history, bench_record, load_bench
+from common import append_history, bench_record
 
 from repro.engine.cache import WrapperTableCache
 from repro.partition.evaluate import partition_evaluate
@@ -165,22 +166,9 @@ def test_sweep_kernel_speed_and_fidelity(
     print(f"[appended to {BENCH_JSON}]")
 
 
-def _baseline_speedup():
-    """The recorded p93791 W=32 headline speedup, or ``None``.
-
-    Reads both the shared schema-2 record shape and the original
-    schema-1 layout (which stored the rows as ``points``), so the
-    overhead gate below works against any committed baseline.
-    """
-    doc = load_bench(BENCH_JSON)
-    if doc is None:
-        return None
-    if doc.get("schema") == 2:
-        return (doc.get("latest") or {}).get("speedup")
-    for point in doc.get("points", []):
-        if point.get("soc") == "p93791" and point.get("W") == 32:
-            return point.get("speedup")
-    return None
+#: Interleaved (untraced, traced) pairs the telemetry-overhead gate
+#: times.
+OVERHEAD_PAIRS = 25
 
 
 def test_sweep_kernel_telemetry_overhead(p93791):
@@ -188,11 +176,14 @@ def test_sweep_kernel_telemetry_overhead(p93791):
 
     Off: the disabled tracer hands out the no-op singleton, cheap
     enough to sit in per-point code without a guard.  On: the traced
-    p93791 W=32 sweep's speedup (legacy_s / kernel_lb_s — a ratio of
-    same-process timings, so it transfers across machines) must stay
-    within 5% of the recorded ``BENCH_sweep_kernel.json`` baseline:
-    spans are sampled at partition/shard granularity, never inside
-    the kernel inner loop.
+    p93791 W=32 kernel+lb sweep must run within 5% of the same sweep
+    untraced — spans are sampled at partition/count granularity,
+    never inside the kernel inner loop.  Both sides are timed here,
+    one run each per pair with the order alternating, and the gate
+    reads the median of the per-pair time ratios: host load drifts
+    hit both runs of a pair alike, and one lucky run on either side
+    cannot decide it (best-of-N per side could, by up to 19% on a
+    shared 2-CPU host whose true overhead read 0-2%).
     """
     from repro.obs import NOOP_SPAN, TRACER, span as obs_span
 
@@ -208,25 +199,32 @@ def test_sweep_kernel_telemetry_overhead(p93791):
         f"no-op fast path has regressed"
     )
 
-    baseline = _baseline_speedup()
-    assert baseline is not None, (
-        "no recorded baseline in BENCH_sweep_kernel.json"
-    )
-
     tables = WrapperTableCache(p93791).table_list(32)
-    TRACER.enable()
-    try:
-        legacy_s, legacy = _best_of(3, lambda: partition_evaluate(
-            tables, 32, NPAW_COUNTS, engine="legacy"))
-        lb_s, pruned = _best_of(5, lambda: partition_evaluate(
-            tables, 32, NPAW_COUNTS, engine="kernel", prune="lb"))
-    finally:
-        TRACER.disable()
-        TRACER.drain()
+    ratios = []
+    outcomes = set()
+    for pair in range(OVERHEAD_PAIRS):
+        seconds = {}
+        # Alternate which side goes first, so periodic interference
+        # cannot line up with one side.
+        for traced in ((False, True) if pair % 2 else (True, False)):
+            if traced:
+                TRACER.enable()
+            try:
+                start = time.perf_counter()
+                result = partition_evaluate(
+                    tables, 32, NPAW_COUNTS, engine="kernel", prune="lb"
+                )
+                seconds[traced] = time.perf_counter() - start
+            finally:
+                TRACER.disable()
+                TRACER.drain()
+            outcomes.add((result.testing_time, result.best_partition))
+        ratios.append(seconds[True] / seconds[False])
 
-    assert pruned.testing_time == legacy.testing_time
-    speedup = legacy_s / lb_s
-    assert speedup >= 0.95 * baseline, (
-        f"traced p93791 W=32 speedup {speedup:.2f}x regressed more "
-        f"than 5% below the recorded {baseline:.2f}x baseline"
+    assert len(outcomes) == 1
+    overhead = statistics.median(ratios)
+    assert overhead <= 1.05, (
+        f"traced p93791 W=32 sweep runs {overhead:.3f}x the untraced "
+        f"one (median of {OVERHEAD_PAIRS} interleaved pairs), more "
+        f"than the 5% budget"
     )

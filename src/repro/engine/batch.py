@@ -10,10 +10,14 @@ but a naive pool would re-run ``Design_wrapper`` per point.  The
   WrapperTableCache` s, one per SOC, so a width sweep pays at most
   one wrapper design per (core, width) pair in total;
 * **pool mode** (``max_workers > 1`` or ``None`` = one per CPU):
-  jobs fan out over a ``concurrent.futures`` process pool.  Each
-  worker process keeps its own module-level cache per SOC, so every
-  job a worker receives after its first reuses (and at most extends)
-  tables already built in that worker.
+  jobs fan out over a ``concurrent.futures`` process pool.  The
+  parent builds each SOC's dense time matrix once, at the widest
+  width any job needs, and every task of that SOC carries it by
+  value (:class:`~repro.engine.shm.DenseDescriptor`), with the
+  wrapper-design staircases for whole-point tasks; workers unpack it
+  once per process and never run ``Design_wrapper`` for a point.
+  The matrices of a *cold* grid over several SOCs are built through
+  the pool, one task per SOC, into each worker's own table cache.
 
 Three orthogonal options extend the engine for service use:
 
@@ -57,7 +61,7 @@ from time import monotonic as _os_clock
 from time import sleep as _sleep
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import islice
 from pathlib import Path
 from typing import (
@@ -87,9 +91,9 @@ from repro.engine.kernel import (
     dense_time_tables,
 )
 from repro.engine.shm import (
+    BoardDescriptor,
     DenseDescriptor,
     IncumbentBoard,
-    SegmentRegistry,
     attach,
     attach_design_steps,
     design_steps_blob,
@@ -446,25 +450,24 @@ def _cache_for(
 class Task:
     """One unit of pool work: a module-level function and its payload.
 
-    ``fn(payload, worker, fault_key)`` returns ``(value, fallbacks)``,
-    ``fallbacks`` counting shared matrices it could not attach.
+    ``fn(payload, worker, fault_key)`` returns the task's value.
     ``fault_key`` is the index the ``REPRO_FAULTS`` crash, slow and
     shm hooks key on — the grid point, shard or island index — and
     ``None`` for the unhooked polish and build tasks.  Picklable:
     ``fn`` is module-level (lint rule RPR003), the payload plain data.
     """
 
-    fn: Callable[[Any, _Worker, Optional[int]], Tuple[Any, int]]
+    fn: Callable[[Any, _Worker, Optional[int]], Any]
     payload: Any
     fault_key: Optional[int] = None
 
 
 def _run_task(
     task: Task, worker: Optional[_Worker] = None
-) -> Tuple[Any, int, TaskTelemetry]:
+) -> Tuple[Any, TaskTelemetry]:
     """The one pool entry point: fault hooks, telemetry, the body.
 
-    Returns ``(value, fallbacks, telemetry)``; the telemetry (the
+    Returns ``(value, telemetry)``; the telemetry (the
     task's spans plus this process's metrics delta) rides home with
     the value, so the parent's registry covers the whole fleet.
     ``worker`` defaults to this process's pool-worker state; inline
@@ -482,8 +485,8 @@ def _run_task(
     delay = faults.slow_delay(key) if faults is not None else None
     if delay:
         _sleep(delay)  # injected stall; delay comes from the plan
-    value, fallbacks = task.fn(task.payload, worker, key)
-    return value, fallbacks, task_end(baseline)
+    value = task.fn(task.payload, worker, key)
+    return value, task_end(baseline)
 
 
 def _with_policy(
@@ -523,53 +526,77 @@ def _with_policy(
     raise AssertionError("unreachable")  # pragma: no cover
 
 
-def _attach(
-    descriptor: DenseDescriptor, worker: _Worker, key: Optional[int]
-) -> Optional[DenseTimeMatrix]:
-    """Attach a shared dense matrix, unless a ``shm@`` fault refuses."""
+def _unpack(
+    descriptor: DenseDescriptor, soc: Soc, total_width: int
+) -> DenseTimeMatrix:
+    """The task's dense matrix, checked against the task's SOC.
+
+    The parent builds every descriptor from the very job it ships
+    with, so a mismatch is an engine bug: it raises rather than
+    serve a wrong matrix.
+    """
     if (
+        descriptor.total_width < total_width
+        or descriptor.num_cores != len(soc.cores)
+        or descriptor.fingerprint != soc_fingerprint(soc)
+    ):
+        raise RuntimeError(
+            f"dense descriptor {descriptor.fingerprint} "
+            f"({descriptor.num_cores}x{descriptor.total_width}) does "
+            f"not serve {soc.name} at W={total_width}"
+        )
+    return attach(descriptor)
+
+
+def _attach_board(
+    descriptor: Optional[BoardDescriptor],
+    worker: _Worker,
+    key: Optional[int],
+) -> Optional[IncumbentBoard]:
+    """The task's incumbent board, or ``None`` to run without one.
+
+    A ``shm@`` fault refuses the attach.  A board that could not be
+    had counts one ``engine.shm_fallbacks``; running without it
+    loosens pruning but cannot change the task's outcome.
+    """
+    if descriptor is None:
+        return None
+    refused = (
         worker.faults is not None
         and key is not None
         and worker.faults.take_shm_failure(key)
-    ):
-        return None  # injected attach failure: take the fallback path
-    return attach(descriptor)
+    )
+    board = None if refused else IncumbentBoard.attach(descriptor)
+    if board is None:
+        logger.warning("task %s: incumbent board unavailable", key)
+        REGISTRY.counter("engine.shm_fallbacks").inc()
+    return board
 
 
 def _evaluate_job(
     job: BatchJob,
     descriptor: Optional[DenseDescriptor],
     worker: _Worker,
-    key: Optional[int],
-) -> Tuple[SweepPoint, int]:
-    """Evaluate one job; also report whether the dense path was lost.
+) -> SweepPoint:
+    """Evaluate one job.
 
-    On the happy path the job builds *no* wrapper tables at all: the
-    sweep reads the transported matrix, and the designs the final
-    utilization accounting needs come decoded from the transported
-    staircases (or, absent those, are recovered on demand per bus
-    width).  A descriptor that cannot serve the job — wrong SOC
-    content, too narrow, segment gone — falls back to the worker's
-    private table cache, and the second element reports ``1``: the
-    slow path the runner surfaces (:attr:`BatchRunner.shm_fallbacks`)
-    instead of hiding.
+    Inline mode (no descriptor) reads the worker's table caches.  In
+    a pool worker the job builds *no* wrapper tables at all: the
+    sweep reads the matrix the task carries, and the designs the
+    final utilization accounting needs are decoded from the carried
+    staircases (or, absent those, recovered on demand per bus width).
     """
-    matrix = None
-    if descriptor is not None and (
-        descriptor.total_width >= job.total_width
-        and descriptor.num_cores == len(job.soc.cores)
-        and descriptor.fingerprint == soc_fingerprint(job.soc)
-    ):
-        matrix = _attach(descriptor, worker, key)
-    if matrix is not None:
+    if descriptor is None:
+        cache = _cache_for(worker.caches, job.soc, store=worker.store)
+        tables: Mapping[str, Any] = cache.tables(job.total_width)
+        matrix = None
+    else:
+        matrix = _unpack(descriptor, job.soc, job.total_width)
         tables = dense_time_tables(
             job.soc.cores, matrix,
             design_steps=attach_design_steps(descriptor),
         )
-    else:
-        cache = _cache_for(worker.caches, job.soc, store=worker.store)
-        tables = cache.tables(job.total_width)
-    point = evaluate_point(
+    return evaluate_point(
         job.soc,
         job.total_width,
         num_tams=job.num_tams,
@@ -577,68 +604,40 @@ def _evaluate_job(
         dense=matrix,
         **job.options_dict(),
     )
-    return point, int(descriptor is not None and matrix is None)
 
 
 def _point_task(
     payload: Tuple[BatchJob, Optional[DenseDescriptor]],
     worker: _Worker,
     key: Optional[int],
-) -> Tuple[BatchResult, int]:
+) -> BatchResult:
     """Task body: one whole grid point under the worker's policy."""
     job, descriptor = payload
-    outcome = _with_policy(
+    return _with_policy(
         job, worker.on_error, worker.retries,
-        lambda: _evaluate_job(job, descriptor, worker, key),
+        lambda: _evaluate_job(job, descriptor, worker),
     )
-    return (outcome, 0) if isinstance(outcome, FailedPoint) else outcome
-
-
-def _shared_matrix(
-    descriptor: DenseDescriptor,
-    soc: Soc,
-    total_width: int,
-    worker: _Worker,
-    key: Optional[int],
-) -> Tuple[DenseTimeMatrix, int]:
-    """A fanned task's shared matrix, or a private rebuild.
-
-    The rebuild gives the same matrix from the worker's cache and is
-    counted as a shared-table fallback.
-    """
-    matrix = _attach(descriptor, worker, key)
-    if matrix is not None:
-        return matrix, 0
-    logger.warning(
-        "task %s: dense segment for %s unavailable; rebuilding "
-        "tables privately", key, soc.name,
-    )
-    cache = _cache_for(worker.caches, soc, store=worker.store)
-    return build_dense_matrix(
-        cache.table_list(total_width), total_width
-    ), 1
 
 
 def _shard_task(
     payload: Tuple[
-        DenseDescriptor, object, int, Tuple[ShardSpan, ...], Soc,
-        int, int, Optional[int], Union[bool, str],
+        DenseDescriptor, Optional[BoardDescriptor], int,
+        Tuple[ShardSpan, ...], Soc, int, int, Optional[int],
+        Union[bool, str],
     ],
     worker: _Worker,
     key: Optional[int],
-) -> Tuple[ShardOutcome, int]:
+) -> ShardOutcome:
     """Task body: score one shard of a sharded partition sweep.
 
-    Reads the job's shared dense matrix and the sweep's incumbent
-    board, scores the shard's rank ranges, and ships the recorded
+    Reads the job's dense matrix and the sweep's incumbent board,
+    scores the shard's rank ranges, and ships the recorded
     completions back for the parent-side deterministic merge.
     """
     (descriptor, board_descriptor, shard_index, spans, soc,
      total_width, keep_top, initial_best, prune) = payload
-    matrix, fallbacks = _shared_matrix(
-        descriptor, soc, total_width, worker, key
-    )
-    board = IncumbentBoard.attach(board_descriptor)
+    matrix = _unpack(descriptor, soc, total_width)
+    board = _attach_board(board_descriptor, worker, key)
     try:
         with span(
             "shard_sweep", soc=soc.name, shard=shard_index
@@ -653,17 +652,19 @@ def _shard_task(
         if board is not None:
             board.close()
     REGISTRY.counter("shard.shards_run").inc()
-    return outcome, fallbacks
+    return outcome
 
 
 def _island_task(
-    payload: Tuple[DenseDescriptor, object, Any, Soc, int],
+    payload: Tuple[
+        DenseDescriptor, Optional[BoardDescriptor], Any, Soc, int
+    ],
     worker: _Worker,
     key: Optional[int],
-) -> Tuple[Any, int]:
+) -> Any:
     """Task body: run one island of a ``mode="search"`` point.
 
-    Reads the job's shared dense matrix, runs the island to budget
+    Reads the job's dense matrix, runs the island to budget
     exhaustion, and ships its :class:`~repro.search.IslandResult`
     back for the parent-side deterministic merge.  Publication to the
     incumbent board is write-only — the island never reads other
@@ -675,10 +676,8 @@ def _island_task(
     from repro.search.driver import run_island
 
     descriptor, board_descriptor, plan, soc, total_width = payload
-    matrix, fallbacks = _shared_matrix(
-        descriptor, soc, total_width, worker, key
-    )
-    board = IncumbentBoard.attach(board_descriptor)
+    matrix = _unpack(descriptor, soc, total_width)
+    board = _attach_board(board_descriptor, worker, key)
     publish = None
     if board is not None:
         def publish(
@@ -697,12 +696,12 @@ def _island_task(
         if board is not None:
             board.close()
     REGISTRY.counter("search.islands_run").inc()
-    return result, fallbacks
+    return result
 
 
 def _polish_task(
     payload: Any, worker: _Worker, key: Optional[int]
-) -> Tuple[Any, int]:
+) -> Any:
     """Task body: one exact-polish candidate.
 
     Executes one :data:`repro.optimize.co_optimize.PolishTask` — an
@@ -715,25 +714,24 @@ def _polish_task(
     with span("polish_candidate", widths=str(payload[1].widths)):
         exact = run_polish_task(payload)
     REGISTRY.counter("engine.polish_tasks_run").inc()
-    return exact, 0
+    return exact
 
 
 def _build_task(
     payload: Tuple[Soc, int], worker: _Worker, key: Optional[int]
-) -> Tuple[Tuple[bytes, bytes], int]:
+) -> Tuple[bytes, bytes]:
     """Task body: build one cold SOC's dense matrix + staircases.
 
     Runs the wrapper designs through this worker's (store-backed)
     cache, so the build also warms it, and returns the matrix bytes
-    and the serialized design staircases for the parent to publish
-    over shared memory.
+    and the serialized design staircases for the parent to ship.
     """
     soc, total_width = payload
     with span("build_tables", soc=soc.name, W=total_width):
         cache = _cache_for(worker.caches, soc, store=worker.store)
         tables = cache.table_list(total_width)
         matrix = build_dense_matrix(tables, total_width)
-    return (matrix.to_bytes(), design_steps_blob(tables)), 0
+    return matrix.to_bytes(), design_steps_blob(tables)
 
 
 def _await(future: "Future[Any]", deadline: Optional[float]) -> Any:
@@ -753,13 +751,17 @@ def _await(future: "Future[Any]", deadline: Optional[float]) -> Any:
 @contextmanager
 def _incumbent_board(
     slots: int, keep_top: int, enabled: bool = True
-) -> Iterator[object]:
+) -> Iterator[Optional[BoardDescriptor]]:
     """A parent-owned incumbent board's descriptor, freed on exit.
 
     Yields ``None`` when disabled or when shared memory is
-    unavailable; the tasks then run without one.
+    unavailable; the tasks then run without one.  A board that could
+    not be created counts one ``engine.shm_fallbacks``.
     """
     board = IncumbentBoard.create(slots, keep_top) if enabled else None
+    if enabled and board is None:
+        logger.warning("incumbent board could not be created")
+        REGISTRY.counter("engine.shm_fallbacks").inc()
     try:
         yield board.descriptor() if board is not None else None
     finally:
@@ -819,21 +821,6 @@ class BatchRunner:
         Keep the process pool alive across :meth:`run` calls instead
         of starting one per call.  Callers own the shutdown:
         :meth:`close`, or use the runner as a context manager.
-    share_tables:
-        Pool mode only: build each SOC's dense time matrix once in
-        the parent and ship it to the workers through
-        ``multiprocessing.shared_memory`` (:mod:`repro.engine.shm`)
-        instead of every worker building a private wrapper-table
-        copy.  Results are identical either way; segments are freed
-        when the pool goes away (end of :meth:`run` for an ephemeral
-        pool, :meth:`close` for a persistent one), and the transport
-        degrades gracefully — to pickled matrix bytes when shared
-        memory is unavailable, to per-worker caches when a worker
-        cannot attach.  The matrices of a *cold* grid over several
-        SOCs are built through the pool (one task per SOC) rather
-        than serially in the parent, and the wrapper-design
-        staircases ride along, so workers never run ``Design_wrapper``
-        at all on the happy path.
     shard:
         Intra-job sharding policy for the partition sweep
         (:mod:`repro.partition.shard`): ``"auto"`` (default) splits a
@@ -880,7 +867,6 @@ class BatchRunner:
         retries: int = 0,
         cache_dir: Union[str, Path, None] = None,
         persistent: bool = False,
-        share_tables: bool = True,
         shard: Union[int, str, None] = "auto",
         point_timeout: Union[int, float, None] = None,
         pool_restart_retries: int = 2,
@@ -913,7 +899,6 @@ class BatchRunner:
             str(cache_dir) if cache_dir is not None else None
         )
         self.persistent = persistent
-        self.share_tables = share_tables
         self.shard = shard
         #: This runner's typed instrument namespace: the engine's own
         #: counters (``engine.pools_started``, ``engine.shm_fallbacks``,
@@ -935,10 +920,12 @@ class BatchRunner:
         self._store = _make_store(self.cache_dir)
         self._caches: Dict[str, WrapperTableCache] = {}
         self._executor: Optional[ProcessPoolExecutor] = None
-        self._segments = SegmentRegistry()
+        #: What pool tasks carry, by SOC fingerprint: each SOC's dense
+        #: matrix and design staircases, by value.
+        self._descriptors: Dict[str, DenseDescriptor] = {}
         #: Parent-side dense matrices by SOC fingerprint — what the
-        #: sharded sweep's merge and polish read; lifetime matches
-        #: the published segments.
+        #: sharded sweep's merge and polish read; always as wide as
+        #: the descriptor of the same fingerprint.
         self._matrices: Dict[str, DenseTimeMatrix] = {}
         #: Parent-side tables by fingerprint for finishing sharded
         #: jobs: real cached tables when the parent built them,
@@ -953,9 +940,10 @@ class BatchRunner:
 
     @property
     def shm_fallbacks(self) -> int:
-        """Jobs/shards whose shared dense matrix could not serve a
-        worker, which silently rebuilt from a private cache instead —
-        the slow path, surfaced for ``--stats``/service monitoring."""
+        """Incumbent boards that could not be created or attached,
+        so shard or island tasks ran without them — slower pruning,
+        never a different answer; surfaced for ``--stats``/service
+        monitoring."""
         return self.metrics.counter("engine.shm_fallbacks").value
 
     @property
@@ -1005,43 +993,59 @@ class BatchRunner:
         return self._executor
 
     def close(self) -> None:
-        """Shut down the persistent pool and free its shared segments."""
+        """Shut down the persistent pool and drop the held matrices."""
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-        self._segments.close()
+        self._forget_matrices()
+
+    def _forget_matrices(self) -> None:
+        """Drop every held descriptor, matrix and merge table."""
+        self._descriptors.clear()
         self._matrices.clear()
         self._merge_tables.clear()
 
-    def _publish_local(
+    def _hold(
+        self,
+        fingerprint: str,
+        matrix: DenseTimeMatrix,
+        designs: bytes,
+        merge_tables: Dict[str, Any],
+    ) -> DenseDescriptor:
+        """Keep one SOC's matrix for the merge and describe it for tasks."""
+        self._matrices[fingerprint] = matrix
+        self._merge_tables[fingerprint] = merge_tables
+        descriptor = DenseDescriptor.of(fingerprint, matrix, designs)
+        self._descriptors[fingerprint] = descriptor
+        return descriptor
+
+    def _build_local(
         self, fingerprint: str, soc: Soc, width: int
     ) -> DenseDescriptor:
-        """Build one SOC's matrix in the parent and publish it."""
+        """Build one SOC's matrix in the parent and hold it."""
         cache = self.cache_for(soc)
         tables = cache.table_list(width)
-        matrix = build_dense_matrix(tables, width)
-        self._matrices[fingerprint] = matrix
-        self._merge_tables[fingerprint] = cache.tables(width)
-        return self._segments.publish(
-            fingerprint, matrix, designs=design_steps_blob(tables)
+        return self._hold(
+            fingerprint, build_dense_matrix(tables, width),
+            design_steps_blob(tables), cache.tables(width),
         )
 
     def _dense_descriptors(
         self,
         jobs: Sequence[BatchJob],
         pool: Optional[ProcessPoolExecutor] = None,
-    ) -> List[Optional[DenseDescriptor]]:
-        """One (possibly shared) dense descriptor per job, in order.
+    ) -> List[DenseDescriptor]:
+        """One dense descriptor per job, in order.
 
         Builds each distinct SOC's tables once — at the largest width
-        any of its jobs needs — and publishes the dense matrix plus
-        its wrapper-design staircases through the segment registry.
-        A SOC appearing in several jobs ships as one segment.
+        any of its jobs needs — into a dense matrix plus its
+        wrapper-design staircases; every job of that SOC carries the
+        one descriptor.  A descriptor held from an earlier run is
+        reused while it is wide enough and replaced otherwise.
 
-        SOCs whose tables the parent already holds (or that a
-        persistent runner published before) build locally: warm
-        builds are cheap.  When two or more SOCs are *cold* and a
-        ``pool`` is available, their builds fan out as pool tasks
+        SOCs whose tables the parent already holds build locally:
+        warm builds are cheap.  When two or more SOCs are *cold* and
+        a ``pool`` is available, their builds fan out as pool tasks
         (:func:`_build_task`) instead of serializing in the
         parent — the cold-grid half of the intra-job scaling story.
         """
@@ -1055,15 +1059,13 @@ class BatchRunner:
             width_by_soc[fingerprint] = max(
                 width_by_soc.get(fingerprint, 0), job.total_width
             )
-        descriptors: Dict[str, Optional[DenseDescriptor]] = {}
+        descriptors: Dict[str, DenseDescriptor] = {}
         cold: List[Tuple[str, Soc, int]] = []
         for fingerprint, width in width_by_soc.items():
             soc = soc_by_print[fingerprint]
-            held = self._matrices.get(fingerprint)
+            held = self._descriptors.get(fingerprint)
             if held is not None and held.total_width >= width:
-                descriptors[fingerprint] = self._segments.publish(
-                    fingerprint, held
-                )
+                descriptors[fingerprint] = held
                 continue
             cache = self._caches.get(soc.name)
             warm = (
@@ -1071,7 +1073,7 @@ class BatchRunner:
                 and cache.max_width > 0
             )
             if warm or pool is None:
-                descriptors[fingerprint] = self._publish_local(
+                descriptors[fingerprint] = self._build_local(
                     fingerprint, soc, width
                 )
             else:
@@ -1079,7 +1081,7 @@ class BatchRunner:
         if len(cold) == 1:
             # One cold SOC gains nothing from a pool round-trip: the
             # parent would idle-wait on the single build anyway.
-            descriptors[cold[0][0]] = self._publish_local(*cold[0])
+            descriptors[cold[0][0]] = self._build_local(*cold[0])
         elif cold:
             built, telemetry = self._gather(pool, [
                 Task(_build_task, (soc, width)) for _, soc, width in cold
@@ -1092,13 +1094,11 @@ class BatchRunner:
                 matrix = DenseTimeMatrix.from_buffer(
                     data, len(soc.cores), width
                 )
-                self._matrices[fingerprint] = matrix
-                self._merge_tables[fingerprint] = dense_time_tables(
-                    soc.cores, matrix,
-                    design_steps=parse_design_steps(blob),
-                )
-                descriptors[fingerprint] = self._segments.publish(
-                    fingerprint, matrix, designs=blob
+                descriptors[fingerprint] = self._hold(
+                    fingerprint, matrix, blob, dense_time_tables(
+                        soc.cores, matrix,
+                        design_steps=parse_design_steps(blob),
+                    ),
                 )
         return [descriptors[fingerprint] for fingerprint in prints]
 
@@ -1144,7 +1144,7 @@ class BatchRunner:
     ) -> int:
         """How many shards this job should split into (0 = don't)."""
         policy = override if override is not None else self.shard
-        if policy in (None, 0, 1) or not self.share_tables:
+        if policy in (None, 0, 1):
             return 0
         if not self._job_shardable(job):
             return 0
@@ -1210,13 +1210,6 @@ class BatchRunner:
                 self.metrics.snapshot().delta(run_start)
             )
 
-    def _absorb(self, fallbacks: int, telemetry: TaskTelemetry) -> None:
-        """File one task's report: its shared-table fallbacks and its
-        metrics delta go into the runner's registry."""
-        if fallbacks:
-            self.metrics.counter("engine.shm_fallbacks").inc(fallbacks)
-        self.metrics.absorb(telemetry.metrics)
-
     def _run_iter_inner(
         self,
         jobs: List[BatchJob],
@@ -1245,7 +1238,7 @@ class BatchRunner:
         # spraying shard/island tasks across the pool is exactly the
         # monopolisation the cap exists to prevent.
         search_fan = [
-            requested > 1 and self.share_tables
+            requested > 1
             and max_concurrent is None
             and len(jobs) < requested
             and self._job_search_mode(job)
@@ -1261,10 +1254,10 @@ class BatchRunner:
                 self.on_error, self.retries,
             )
             for index, job in enumerate(jobs):
-                result, fallbacks, telemetry = _run_task(
+                result, telemetry = _run_task(
                     Task(_point_task, (job, None), index), worker
                 )
-                self._absorb(fallbacks, telemetry)
+                self.metrics.absorb(telemetry.metrics)
                 self.last_run_telemetry[index] = telemetry
                 yield result
             return
@@ -1273,9 +1266,8 @@ class BatchRunner:
         # Already-yielded results are kept — the dispatcher yields
         # strictly in job order — the pool is rebuilt after a
         # deterministic backoff, and only jobs[emitted:] re-dispatch.
-        # The published shm segments are parent-owned and survive the
-        # dead pool, so the rebuilt workers re-attach to the same
-        # matrices.
+        # The held descriptors survive the dead pool, so the rebuilt
+        # workers receive the same matrices.
         emitted = 0
         restarts = 0
         delays = backoff_schedule(self.pool_restart_retries)
@@ -1323,13 +1315,10 @@ class BatchRunner:
                     pool = self._pool(workers)
         finally:
             if not self.persistent:
-                # Ephemeral pool: its workers are gone, so the
-                # published segments have no readers left — free
-                # them (and the parent-side matrices) now.
+                # Ephemeral pool: nothing will read the held matrices
+                # again, so drop them now.
                 pool.shutdown(wait=True)
-                self._segments.close()
-                self._matrices.clear()
-                self._merge_tables.clear()
+                self._forget_matrices()
 
     def _timed_out(
         self, job: BatchJob, point_timeout: Optional[float]
@@ -1362,10 +1351,10 @@ class BatchRunner:
     ) -> Iterator[BatchResult]:
         """Dispatch ``jobs[skip:]`` over ``pool``, yielding in order.
 
-        One pool's worth of work: descriptors are (re)published —
-        idempotent for segments already wide enough — and results
-        stream back in job order, so the caller can resume from its
-        yield count if this pool breaks mid-grid.
+        One pool's worth of work: descriptors are (re)built —
+        reused while already wide enough — and results stream back
+        in job order, so the caller can resume from its yield count
+        if this pool breaks mid-grid.
 
         At most ``max_concurrent`` points (all of them when unset)
         are in flight at once.  A whole point is one pool task; a
@@ -1375,19 +1364,14 @@ class BatchRunner:
         measured from the moment its turn comes.
         """
         build_baseline = task_begin()
-        if self.share_tables:
-            with span("publish_tables", jobs=len(jobs)):
-                descriptors = self._dense_descriptors(jobs, pool)
-        else:
-            descriptors = [None] * len(jobs)
+        with span("publish_tables", jobs=len(jobs)):
+            descriptors = self._dense_descriptors(jobs, pool)
         build_telemetry = task_end(build_baseline)
         self.metrics.absorb(build_telemetry.metrics)
         self.last_run_spans.extend(build_telemetry.spans)
         fanned = [
-            (shard_counts[index] >= 2 or search_fan[index])
-            and descriptor is not None
-            and descriptor.fingerprint in self._matrices
-            for index, descriptor in enumerate(descriptors)
+            shard_counts[index] >= 2 or search_fan[index]
+            for index in range(len(jobs))
         ]
         todo = iter(range(skip, len(jobs)))
         window = max_concurrent or len(jobs)
@@ -1418,10 +1402,8 @@ class BatchRunner:
                         shard_counts[index], deadline,
                     )
                 else:
-                    result, fallbacks, telemetry = _await(
-                        future, deadline
-                    )
-                    self._absorb(fallbacks, telemetry)
+                    result, telemetry = _await(future, deadline)
+                    self.metrics.absorb(telemetry.metrics)
             except DeadlineError:
                 if future is not None:
                     future.cancel()
@@ -1457,7 +1439,7 @@ class BatchRunner:
             for index, task in enumerate(tasks):
                 for attempt in range(1, self.SHARD_RETRY_ATTEMPTS + 1):
                     try:
-                        value, fallbacks, record = _await(
+                        value, record = _await(
                             futures[index], deadline
                         )
                         break
@@ -1476,7 +1458,7 @@ class BatchRunner:
                         ).inc()
                         _sleep(delays[attempt - 1])
                         futures[index] = pool.submit(_run_task, task)
-                self._absorb(fallbacks, record)
+                self.metrics.absorb(record.metrics)
                 values.append(value)
                 telemetry.append(record)
         finally:
@@ -1496,12 +1478,15 @@ class BatchRunner:
 
         Its tasks go through :meth:`_gather` under the point's
         ``deadline``; the merge, the exact polish and the accounting
-        run here over the shared matrix.  The job failure policy
-        wraps the whole point.  Returns the result and its telemetry:
-        the parent-side part merged with the last attempt's tasks'.
+        run here over the parent's copy of the matrix.  The job
+        failure policy wraps the whole point.  Returns the result and
+        its telemetry: the parent-side part merged with the last
+        attempt's tasks'.
         """
         baseline = task_begin()
         tasks: List[TaskTelemetry] = []
+        # Shard and island tasks only score: they carry no designs.
+        descriptor = replace(descriptor, design_payload=None)
 
         def gather(kind: str, batch: List[Task]) -> List[Any]:
             values, records = self._gather(pool, batch, kind, deadline)
@@ -1544,7 +1529,7 @@ class BatchRunner:
         """The island fan-out seam of one search point.
 
         The fixed :data:`repro.search.NUM_ISLANDS` island runs
-        execute as pool tasks over the already-shared dense matrix,
+        execute as pool tasks, each carrying the dense matrix,
         publishing incumbent improvements through a shared-memory
         board; the deterministic merge, the exact polish, and the
         certificate/utilization accounting run in the parent over the
@@ -1579,8 +1564,8 @@ class BatchRunner:
     ) -> Dict[str, Any]:
         """The sweep and polish fan-out seams of one sharded point.
 
-        Step 1 (the sweep) executes as ``num_shards`` pool tasks over
-        the already-shared dense matrix, with incumbents broadcast
+        Step 1 (the sweep) executes as ``num_shards`` pool tasks,
+        each carrying the dense matrix, with incumbents broadcast
         through a shared-memory board; the deterministic merge and
         the certificate/utilization accounting run in the parent over
         the same matrix, and a top-k exact polish fans its candidates

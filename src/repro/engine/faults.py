@@ -4,8 +4,8 @@ A :class:`FaultPlan` is a small, seeded description of *which* faults
 to inject *where* — parsed from a plan string, normally supplied via
 the ``REPRO_FAULTS`` environment variable.  Production code consults
 the plan at a handful of well-defined hook points (worker task entry,
-shm attach, the IPC event stream, store writes); with no plan active
-every hook is a ``None`` check and nothing else.
+the incumbent-board attach, the IPC event stream, store writes); with
+no plan active every hook is a ``None`` check and nothing else.
 
 Plan strings are comma-separated directives::
 
@@ -18,8 +18,9 @@ directive                 fault
                           dies (``os._exit``) before scoring it —
                           surfaces as ``BrokenProcessPool`` in the
                           parent.  Requires ``state=`` (see below).
-``shm@K``                 point K's shared-memory attach is forced to
-                          fail, exercising the private-table fallback.
+``shm@K``                 shard or island task K's incumbent-board
+                          attach is refused: the task runs without
+                          the board (one ``engine.shm_fallbacks``).
 ``slow@K=S``              point K sleeps S seconds before scoring —
                           drives per-point deadline enforcement.
 ``ipc@K``                 the server drops an ``events`` stream after
@@ -41,9 +42,9 @@ process-wide metrics registry, so injected chaos is visible in the
 run's telemetry and the service health block.
 
 Determinism contract: a plan never changes *what* is computed — only
-when processes die, how long points take, and which transport
-fallbacks engage.  The chaos suite asserts grid results under every
-plan are bit-identical to the fault-free run.
+when processes die, how long points take, and which tasks prune
+without their incumbent board.  The chaos suite asserts grid results
+under every plan are bit-identical to the fault-free run.
 """
 
 from __future__ import annotations
@@ -209,7 +210,7 @@ class FaultPlan:
         return True
 
     def take_shm_failure(self, point_index: int) -> bool:
-        """True if ``point_index``'s shm attach should be refused."""
+        """True if task ``point_index``'s board attach should fail."""
         if point_index not in self.shm_points:
             return False
         if not self._claim(f"shm-{point_index}"):

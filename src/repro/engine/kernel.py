@@ -37,7 +37,7 @@ the differential suite in ``tests/engine/test_kernel.py``):
   entirely without changing any observable outcome.
 * :class:`DenseTimeTable` — a times-only :class:`~repro.wrapper.
   pareto.TimeTable` stand-in over one matrix row, for pool workers
-  that receive the matrix through shared memory
+  that receive the matrix in their task payload
   (:mod:`repro.engine.shm`) instead of building their own tables;
   wrapper *designs* (needed only for final utilization accounting)
   are recovered on demand at the staircase breakpoint.
@@ -73,8 +73,8 @@ class DenseTimeMatrix:
     makes the widest-column lower bound admissible.
 
     The backing store is any flat int sequence — an ``array('q')``
-    when built locally, a zero-copy ``memoryview`` when attached to a
-    shared-memory segment.  Hot loops never touch it directly: they
+    when built locally, a zero-copy ``memoryview`` over the bytes a
+    pool task received.  Hot loops never touch it directly: they
     read the memoized per-width column tuples.
     """
 
@@ -260,7 +260,7 @@ class DenseTimeMatrix:
         ]
 
     def to_bytes(self) -> bytes:
-        """The flat matrix as native int64 bytes (shared-memory wire form)."""
+        """The flat matrix as native int64 bytes (the task-payload form)."""
         flat = self._flat
         if isinstance(flat, array) and flat.typecode == "q":
             return flat.tobytes()
@@ -273,19 +273,9 @@ class DenseTimeMatrix:
         num_cores: int,
         total_width: int,
     ) -> "DenseTimeMatrix":
-        """Zero-copy view over a native int64 buffer (bytes or shm)."""
+        """Zero-copy view over a native int64 buffer."""
         view = memoryview(buffer).cast("q")
         return cls(view, num_cores, total_width)
-
-    def release(self) -> None:
-        """Release a buffer-backed view (before closing its segment)."""
-        if isinstance(self._flat, memoryview):
-            self._flat.release()
-        self._columns.clear()
-        self._stats.clear()
-        self._orders.clear()
-        self._contexts = None
-        self._sums = None
 
 
 def build_dense_matrix(
@@ -885,11 +875,12 @@ class DenseTimeTable:
     recovering the staircase breakpoint (leftmost width with the same
     time — where the running-minimum construction stored its design).
     Values are identical to the real table's; pool workers use these
-    over a shared-memory matrix so they never build private tables.
+    over the matrix their task carries so they never build private
+    tables.
 
     ``design_steps`` — serialized wrapper-design records keyed by
-    breakpoint width, as shipped by the shared-memory staircase
-    transport (:mod:`repro.engine.shm`) — closes the last per-worker
+    breakpoint width, as shipped in point-task payloads
+    (:mod:`repro.engine.shm`) — closes the last per-worker
     rebuild gap: a breakpoint with a shipped record is *decoded*, not
     re-designed, so the handful of designs the final utilization
     accounting needs cost zero ``Design_wrapper`` calls too.  Without

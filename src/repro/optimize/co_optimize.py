@@ -170,8 +170,8 @@ def co_optimize(
         sweep's execution engine; outcomes are bit-identical.
     dense:
         Optional pre-built :class:`~repro.engine.kernel.
-        DenseTimeMatrix` for the kernel sweep (e.g. attached from the
-        batch engine's shared-memory transport).
+        DenseTimeMatrix` for the kernel sweep (e.g. the one a batch
+        engine pool task carries).
     sweep:
         Optional replacement for :func:`~repro.partition.evaluate.
         partition_evaluate` — called with the identical signature and

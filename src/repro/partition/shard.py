@@ -43,11 +43,12 @@ The protocol rests on three facts about the serial sweep:
    them.
 
 Everything here is process-free: :func:`sweep_shard` is the worker
-payload (the engine runs it on pool workers over the shared-memory
-matrix and incumbent board, :mod:`repro.engine.batch` /
-:mod:`repro.engine.shm`), and :func:`sharded_partition_evaluate` runs
-the whole protocol inline — the differential-test surface, and the
-single-process reference for the merge semantics.  A shard scores its
+payload (the engine runs it on pool workers over the matrix each
+shard task carries and the shared-memory incumbent board,
+:mod:`repro.engine.batch` / :mod:`repro.engine.shm`), and
+:func:`sharded_partition_evaluate` runs the whole protocol inline —
+the differential-test surface, and the single-process reference for
+the merge semantics.  A shard scores its
 spans with the serial sweep's own walker,
 :func:`repro.engine.kernel.sweep_partitions`, which starts at a rank
 by skipping whole subtrees by their counted size — one code path for

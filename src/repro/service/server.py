@@ -284,11 +284,6 @@ class ExplorationServer:
         runner (see :class:`repro.service.store.TableStore`).
     retries:
         Per-point retry budget for the built runner.
-    share_tables:
-        Ship each grid's dense time matrices to the pool workers over
-        shared memory (see :class:`~repro.engine.batch.BatchRunner`)
-        instead of letting every worker build a private table copy.
-        On by default; segments live until :meth:`shutdown`.
     max_records:
         Retention bound for *terminal* job records (done / failed /
         cancelled).  ``None`` (default) keeps every record for the
@@ -325,7 +320,6 @@ class ExplorationServer:
         max_workers: Optional[int] = None,
         cache_dir: Union[str, Path, None] = None,
         retries: int = 0,
-        share_tables: bool = True,
         max_records: Optional[int] = None,
         require_auth: bool = False,
         tokens_path: Union[str, Path, None] = None,
@@ -339,7 +333,6 @@ class ExplorationServer:
                 retries=retries,
                 cache_dir=cache_dir,
                 persistent=True,
-                share_tables=share_tables,
             )
         if max_records is not None and max_records < 1:
             raise ServiceError(

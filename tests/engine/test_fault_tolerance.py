@@ -395,13 +395,14 @@ class TestFanOutTaskRetries:
 
 
 class TestFaultHookPlacement:
-    """Point, shard and island tasks take the crash/slow/shm hooks;
-    polish and build tasks never do.
+    """Point, shard and island tasks take the crash/slow hooks; only
+    shard and island tasks take the shm hook; polish and build tasks
+    take none.
 
     Each case runs one workload under a plan aimed at index ``K`` and
     checks which hooks fired: a crash rebuilds the pool once, a
     one-shot ``slow@K=0`` counts one injected fault, and ``shm@K``
-    forces one private-table fallback where the task attaches.
+    makes one shard or island task run without its incumbent board.
     """
 
     @staticmethod
@@ -413,7 +414,7 @@ class TestFaultHookPlacement:
         if kind == "point":
             k = SEED % 3
             jobs = [BatchJob(tiny_soc, w, 2) for w in (4, 5, 6)]
-            return jobs, {}, self.hooked_plan(state, k), (1, 1, 2)
+            return jobs, {}, self.hooked_plan(state, k), (1, 0, 1)
         if kind == "shard":
             plan = self.hooked_plan(state, SEED % NUM_SHARDS)
             return [sharded_job(tiny_soc)], {"shard": NUM_SHARDS}, \

@@ -13,8 +13,8 @@ from repro.engine.batch import (
 )
 from repro.engine.kernel import build_dense_matrix, dense_time_tables
 from repro.engine.shm import (
+    DenseDescriptor,
     IncumbentBoard,
-    SegmentRegistry,
     attach_design_steps,
     design_steps_blob,
     parse_design_steps,
@@ -26,13 +26,12 @@ from repro.wrapper.pareto import build_time_tables
 
 def run_point(caches, job, descriptor=None):
     """One job through the pool's task entry point, in-process:
-    ``(result, fallbacks, telemetry)``."""
+    ``(result, telemetry)``."""
     return _run_task(Task(_point_task, (job, descriptor)), _Worker(caches))
 
 
 def _drop(fingerprint):
-    if fingerprint in shm._ATTACHED:
-        shm._release_entry(fingerprint)
+    shm._ATTACHED.pop(fingerprint, None)
     shm._DESIGN_STEPS.pop(fingerprint, None)
 
 
@@ -161,17 +160,19 @@ class TestStaircaseTransport:
         table_list = [tables[c.name] for c in tiny_soc.cores]
         matrix = build_dense_matrix(table_list, 10)
         blob = design_steps_blob(table_list)
-        registry = SegmentRegistry()
         try:
-            descriptor = registry.publish(
+            descriptor = DenseDescriptor.of(
                 "fp-stairs", matrix, designs=blob
             )
-            assert descriptor.design_shm_name is not None
-            assert descriptor.design_size == len(blob)
+            assert descriptor.design_payload == blob
             steps = attach_design_steps(descriptor)
             assert set(steps) == {c.name for c in tiny_soc.cores}
+            # Parsed once per blob: an equal blob is a cache hit.
+            again = DenseDescriptor.of(
+                "fp-stairs", matrix, designs=bytes(blob)
+            )
+            assert attach_design_steps(again) is steps
         finally:
-            registry.close()
             _drop("fp-stairs")
 
     def test_dense_tables_decode_designs_without_design_wrapper(
@@ -206,9 +207,8 @@ class TestStaircaseTransport:
         tables = build_time_tables(tiny_soc, 8)
         table_list = [tables[c.name] for c in tiny_soc.cores]
         matrix = build_dense_matrix(table_list, 8)
-        registry = SegmentRegistry()
         try:
-            descriptor = registry.publish(
+            descriptor = DenseDescriptor.of(
                 soc_fingerprint(tiny_soc), matrix,
                 designs=design_steps_blob(table_list),
             )
@@ -230,7 +230,6 @@ class TestStaircaseTransport:
             assert point == reference
             assert caches == {}
         finally:
-            registry.close()
             _drop(soc_fingerprint(tiny_soc))
 
     def test_corrupt_blob_degrades_to_none(self):
@@ -279,30 +278,37 @@ class TestIncumbentBoardShm:
 
 
 class TestFallbackCounter:
-    def test_lost_segment_fallback_is_counted(self, tiny_soc):
-        jobs = [BatchJob(tiny_soc, width, 2) for width in (6, 8)]
-        runner = BatchRunner(max_workers=1)
-        # Inline mode never ships descriptors: no fallbacks.
-        runner.run(jobs)
-        assert runner.shm_fallbacks == 0
-        # Worker-path fallback: a descriptor whose segment is gone
-        # forces the silent private rebuild — exercised in-process
-        # through the same task entry point the pool worker uses.
-        from repro.engine.shm import DenseDescriptor
+    def test_lost_segment_fallback_is_counted(
+        self, tiny_soc, monkeypatch
+    ):
+        jobs = [BatchJob(tiny_soc, 10, 2)]
+        inline_runner = BatchRunner(max_workers=1)
+        inline = inline_runner.run(jobs)
+        # Inline mode never uses a board: no fallbacks.
+        assert inline_runner.shm_fallbacks == 0
+        # Every shard finds its board segment gone (the forked pool
+        # workers inherit the patch): each runs without a board,
+        # counts one fallback, and the answer does not move.
+        def gone(name):
+            raise FileNotFoundError(name)
 
-        tables = build_time_tables(tiny_soc, 8)
-        matrix = build_dense_matrix(
-            [tables[c.name] for c in tiny_soc.cores], 8
+        monkeypatch.setattr(shm, "_attach_untracked", gone)
+        runner = BatchRunner(max_workers=2, shard=2)
+        assert runner.run(jobs) == inline
+        assert runner.jobs_sharded == 1
+        assert runner.shm_fallbacks == 2
+
+    def test_board_creation_failure_is_counted(
+        self, tiny_soc, monkeypatch
+    ):
+        jobs = [BatchJob(tiny_soc, 10, 2)]
+        inline = BatchRunner(max_workers=1).run(jobs)
+        monkeypatch.setattr(
+            IncumbentBoard, "create", classmethod(lambda *a, **k: None)
         )
-        descriptor = DenseDescriptor(
-            fingerprint=soc_fingerprint(tiny_soc),
-            num_cores=matrix.num_cores,
-            total_width=matrix.total_width,
-            shm_name="psm_gone_repro",
-        )
-        result, fallbacks, _ = run_point({}, jobs[0], descriptor)
-        assert fallbacks == 1
-        assert result == BatchRunner(max_workers=1).run([jobs[0]])[0]
+        runner = BatchRunner(max_workers=2, shard=2)
+        assert runner.run(jobs) == inline
+        assert runner.shm_fallbacks == 1  # the one board never made
 
     def test_counter_reported_by_server_info(self, tiny_soc):
         from repro.service.server import ExplorationServer

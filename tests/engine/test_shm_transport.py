@@ -1,4 +1,8 @@
-"""Round-trip and fallback tests for the shared-memory transport."""
+"""The by-value dense-matrix transport: descriptors, the worker-side
+cache, and what each kind of pool task carries."""
+
+import pickle
+from multiprocessing import shared_memory
 
 import pytest
 
@@ -12,20 +16,19 @@ from repro.engine.batch import (
     _Worker,
 )
 from repro.engine.kernel import build_dense_matrix
-from repro.engine.shm import DenseDescriptor, SegmentRegistry, attach
+from repro.engine.shm import DenseDescriptor, attach
 from repro.soc.fingerprint import soc_fingerprint
 from repro.wrapper.pareto import build_time_tables
 
 
 def _drop(fingerprint):
-    """Release a worker-cache entry the way the eviction path does."""
-    if fingerprint in shm._ATTACHED:
-        shm._release_entry(fingerprint)
+    """Forget a worker-cache entry."""
+    shm._ATTACHED.pop(fingerprint, None)
 
 
 def run_point(caches, job, descriptor=None):
     """One job through the pool's task entry point, in-process."""
-    point, _, _ = _run_task(
+    point, _ = _run_task(
         Task(_point_task, (job, descriptor)), _Worker(caches)
     )
     return point
@@ -39,131 +42,65 @@ def matrix_for(soc, width):
 
 
 class TestSegmentRoundTrip:
+    """A descriptor carries its matrix by value through the pickle
+    channel, and each worker unpacks it once per SOC fingerprint."""
+
     def test_publish_attach_round_trip(self, tiny_soc):
         matrix = matrix_for(tiny_soc, 10)
-        registry = SegmentRegistry()
+        descriptor = DenseDescriptor.of("fp-roundtrip", matrix)
+        assert descriptor.payload == matrix.to_bytes()
+        assert descriptor.design_payload is None
         try:
-            descriptor = registry.publish("fp-roundtrip", matrix)
-            assert descriptor.shm_name is not None
-            assert descriptor.payload is None
-            attached = attach(descriptor)
-            assert attached is not None
+            attached = attach(pickle.loads(pickle.dumps(descriptor)))
             for width in range(1, 11):
                 assert attached.column(width) == matrix.column(width)
         finally:
-            registry.close()
             _drop("fp-roundtrip")
 
     def test_publish_reuses_wide_segments(self, tiny_soc):
-        registry = SegmentRegistry()
-        try:
-            wide = registry.publish("fp-reuse", matrix_for(tiny_soc, 12))
-            narrow = registry.publish("fp-reuse", matrix_for(tiny_soc, 8))
-            assert narrow is wide  # covering segment served as-is
-            wider = registry.publish("fp-reuse", matrix_for(tiny_soc, 16))
-            assert wider is not wide
-            assert len(registry) == 1  # narrow segment was replaced
-        finally:
-            registry.close()
-
-    def test_close_unlinks_everything(self, tiny_soc):
-        registry = SegmentRegistry()
-        descriptor = registry.publish(
-            "fp-close", matrix_for(tiny_soc, 6)
-        )
-        registry.close()
-        assert len(registry) == 0
-        # The segment is gone; a fresh attach must fail gracefully.
-        shm._ATTACHED.clear()
-        assert attach(descriptor) is None
-
-    def test_attach_unknown_segment_returns_none(self):
-        descriptor = DenseDescriptor(
-            fingerprint="fp-ghost", num_cores=2, total_width=2,
-            shm_name="psm_does_not_exist_repro",
-        )
-        assert attach(descriptor) is None
+        # The runner keeps one descriptor per SOC: reused while wide
+        # enough, replaced by a wider build, dropped on close().
+        fingerprint = soc_fingerprint(tiny_soc)
+        with BatchRunner(max_workers=2, persistent=True) as runner:
+            runner.run([BatchJob(tiny_soc, 12, 2)])
+            wide = runner._descriptors[fingerprint]
+            runner.run([BatchJob(tiny_soc, 8, 2)])
+            assert runner._descriptors[fingerprint] is wide
+            runner.run([BatchJob(tiny_soc, 16, 2)])
+            wider = runner._descriptors[fingerprint]
+            assert wider is not wide and wider.total_width == 16
+            assert list(runner._descriptors) == [fingerprint]
+        assert runner._descriptors == {}
+        assert runner._matrices == {}
 
     def test_attach_caches_per_fingerprint(self, tiny_soc):
-        registry = SegmentRegistry()
+        matrix = matrix_for(tiny_soc, 8)
         try:
-            descriptor = registry.publish(
-                "fp-cache", matrix_for(tiny_soc, 8)
-            )
-            first = attach(descriptor)
-            assert attach(descriptor) is first
+            first = attach(DenseDescriptor.of("fp-cache", matrix))
+            # A fresh copy of the same descriptor (what the next task
+            # unpickles) is served from the cache, memos and all.
+            again = DenseDescriptor.of("fp-cache", matrix)
+            assert attach(again) is first
         finally:
-            registry.close()
             _drop("fp-cache")
 
     def test_superseded_attachment_is_evicted(self, tiny_soc):
-        # A wider republish changes the segment name; the worker-side
-        # cache must drop (and unmap) the stale matrix instead of
-        # pinning every generation until process exit.
-        registry = SegmentRegistry()
+        # A wider matrix for the same SOC replaces the cache entry
+        # instead of pinning every generation until process exit.
         try:
-            narrow = registry.publish(
-                "fp-evict", matrix_for(tiny_soc, 8)
+            stale = attach(
+                DenseDescriptor.of("fp-evict", matrix_for(tiny_soc, 8))
             )
-            stale = attach(narrow)
-            wide = registry.publish(
-                "fp-evict", matrix_for(tiny_soc, 12)
+            fresh = attach(
+                DenseDescriptor.of("fp-evict", matrix_for(tiny_soc, 12))
             )
-            assert wide.shm_name != narrow.shm_name
-            fresh = attach(wide)
             assert fresh is not stale
-            assert shm._ATTACHED["fp-evict"][0] == wide.shm_name
             assert fresh.total_width == 12
+            assert shm._ATTACHED["fp-evict"] == (
+                (len(tiny_soc.cores), 12), fresh
+            )
         finally:
-            registry.close()
             _drop("fp-evict")
-
-
-class TestPicklingFallback:
-    def test_publish_falls_back_to_payload(self, tiny_soc, monkeypatch):
-        # Force the shared-memory path to fail: the descriptor must
-        # carry the raw bytes instead.
-        class Exploding:
-            def __init__(self, *args, **kwargs):
-                raise OSError("no shared memory here")
-
-        monkeypatch.setattr(
-            shm._shared_memory, "SharedMemory", Exploding
-        )
-        matrix = matrix_for(tiny_soc, 9)
-        registry = SegmentRegistry()
-        descriptor = registry.publish("fp-fallback", matrix)
-        assert descriptor.shm_name is None
-        assert descriptor.payload is not None
-        attached = attach(descriptor)
-        assert attached is not None
-        for width in range(1, 10):
-            assert attached.column(width) == matrix.column(width)
-        # The fallback descriptor is registered (segment-less) so a
-        # second run reuses the packed bytes instead of re-packing.
-        assert registry.publish("fp-fallback", matrix) is descriptor
-        registry.close()  # no segment to unlink — must not raise
-        # Payload-backed matrices are cached per worker too, so
-        # repeated jobs share the column/order memos.
-        assert attach(descriptor) is attached
-        _drop("fp-fallback")
-
-    def test_pool_results_identical_with_fallback_forced(
-        self, tiny_soc, monkeypatch
-    ):
-        class Exploding:
-            def __init__(self, *args, **kwargs):
-                raise OSError("no shared memory here")
-
-        jobs = [BatchJob(tiny_soc, w, 2) for w in (4, 6, 8)]
-        inline = BatchRunner(max_workers=1).run(jobs)
-        # Parent-side failure → payload descriptors ride the pickle
-        # channel; workers still skip their private table builds.
-        monkeypatch.setattr(
-            shm._shared_memory, "SharedMemory", Exploding
-        )
-        pooled = BatchRunner(max_workers=2).run(jobs)
-        assert pooled == inline
 
 
 class TestWorkerDensePath:
@@ -171,22 +108,23 @@ class TestWorkerDensePath:
         jobs = [BatchJob(tiny_soc, w, (1, 2, 3)) for w in (4, 6, 8)]
         inline = BatchRunner(max_workers=1).run(jobs)
         shared = BatchRunner(max_workers=2).run(jobs)
-        private = BatchRunner(max_workers=2, share_tables=False).run(jobs)
-        assert inline == shared == private
+        assert inline == shared
 
-    def test_stale_descriptor_falls_back_to_cache(self, tiny_soc):
-        # A descriptor for *different* SOC content must be ignored.
+    def test_mismatched_descriptor_raises(self, tiny_soc):
+        # A descriptor only ever ships with the job it was built
+        # for; one for other SOC content, or too narrow, is a bug.
         matrix = matrix_for(tiny_soc, 8)
-        descriptor = DenseDescriptor(
-            fingerprint="not-this-soc",
-            num_cores=matrix.num_cores,
-            total_width=matrix.total_width,
-            payload=matrix.to_bytes(),
-        )
         job = BatchJob(tiny_soc, 6, 2)
-        from_cache = run_point({}, job)
-        via_descriptor = run_point({}, job, descriptor)
-        assert from_cache == via_descriptor
+        foreign = DenseDescriptor.of("not-this-soc", matrix)
+        with pytest.raises(RuntimeError, match="does not serve"):
+            run_point({}, job, foreign)
+        narrow = DenseDescriptor.of(
+            soc_fingerprint(tiny_soc), matrix_for(tiny_soc, 4)
+        )
+        caches = {}
+        with pytest.raises(RuntimeError, match="does not serve"):
+            run_point(caches, job, narrow)
+        assert caches == {}  # no private table rebuild either
 
     def test_matching_descriptor_used_without_table_builds(
         self, tiny_soc, monkeypatch
@@ -226,3 +164,76 @@ class TestWorkerDensePath:
         assert caches == {}  # no private WrapperTableCache created
         # Designs ran only for the final architecture's bus widths.
         assert len(calls) <= len(tiny_soc.cores) * len(point.partition)
+
+
+class TestSharedMemoryHoldsOnlyBoards:
+    """Shared memory is created for incumbent boards and nothing else."""
+
+    @pytest.fixture
+    def created(self, monkeypatch):
+        """Sizes of the segments the parent creates during the test."""
+        sizes = []
+
+        class Counting(shared_memory.SharedMemory):
+            def __init__(self, name=None, create=False, size=0):
+                if create:
+                    sizes.append(size)
+                super().__init__(name=name, create=create, size=size)
+
+        monkeypatch.setattr(shm._shared_memory, "SharedMemory", Counting)
+        return sizes
+
+    @staticmethod
+    def jobs(d695, p93791):
+        return [BatchJob(d695, 16, 2), BatchJob(p93791, 16, 2)]
+
+    def test_unsharded_pool_creates_no_segment(
+        self, d695, p93791, created
+    ):
+        jobs = self.jobs(d695, p93791)
+        inline = BatchRunner(max_workers=1).run(jobs)
+        runner = BatchRunner(max_workers=2, shard=0)
+        assert runner.run(jobs) == inline
+        assert created == []
+        assert runner.shm_fallbacks == 0
+
+    def test_sharded_pool_creates_one_board_per_point(
+        self, d695, p93791, created
+    ):
+        jobs = self.jobs(d695, p93791)
+        inline = BatchRunner(max_workers=1).run(jobs)
+        runner = BatchRunner(max_workers=2, shard=2)
+        assert runner.run(jobs) == inline
+        assert runner.jobs_sharded == len(jobs)
+        # One two-slot board (keep_top=1) per sharded point.
+        assert created == [2 * 8] * len(jobs)
+        assert runner.shm_fallbacks == 0
+
+    def test_fanned_tasks_carry_no_designs(
+        self, tiny_soc, monkeypatch
+    ):
+        carried = []
+        original = BatchRunner._gather
+
+        def spy(self, pool, tasks, kind, deadline):
+            carried.extend((kind, task.payload[0]) for task in tasks)
+            return original(self, pool, tasks, kind, deadline)
+
+        monkeypatch.setattr(BatchRunner, "_gather", spy)
+        sharded = BatchJob(tiny_soc, 10, 2)
+        search = BatchJob(tiny_soc, 8, (1, 2), options={
+            "mode": "search", "seed": 3, "eval_budget": 200,
+        })
+        runner = BatchRunner(max_workers=2, shard=2)
+        for job in (sharded, search):
+            (pooled,) = runner.run([job])
+            (inline,) = BatchRunner(max_workers=1).run([job])
+            assert (pooled.testing_time, pooled.partition) == \
+                (inline.testing_time, inline.partition)
+        kinds = {kind for kind, _ in carried}
+        assert {"shard", "island"} <= kinds
+        for kind, descriptor in carried:
+            if kind in ("shard", "island"):
+                assert isinstance(descriptor, DenseDescriptor)
+                assert descriptor.payload
+                assert descriptor.design_payload is None

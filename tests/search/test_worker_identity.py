@@ -95,3 +95,5 @@ class TestFaultInjectionIdentity:
         runner = BatchRunner(max_workers=4, retries=1)
         (point,) = runner.run([search_job(d695)])
         assert signature(point) == inline_reference
+        # shm@0,shm@2 refuse islands 0 and 2 their incumbent board.
+        assert runner.shm_fallbacks == (2 if fault == "shm" else 0)

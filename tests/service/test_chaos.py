@@ -2,9 +2,9 @@
 
 Every test here runs the same workload twice — once clean, once under
 a ``REPRO_FAULTS`` plan — and asserts the results are bit-identical.
-Faults may change *how* the answer is produced (pools rebuilt, shm
-fallbacks engaged, streams reconnected, store entries rebuilt), never
-*what* is produced.
+Faults may change *how* the answer is produced (pools rebuilt, shards
+pruning without their incumbent board, streams reconnected, store
+entries rebuilt), never *what* is produced.
 
 ``REPRO_CHAOS_SEED`` (CI's chaos-smoke matrix) shifts which grid
 point each fault lands on, so repeated runs exercise different
@@ -27,9 +27,18 @@ SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 
 WIDTHS = (4, 5, 6, 7)
 
+#: Shards of the sharded point the ``shm@`` directives aim at.
+NUM_SHARDS = 2
+
 
 def grid_jobs(soc):
     return [BatchJob(soc, width, 2) for width in WIDTHS]
+
+
+def sharded_jobs(soc):
+    """One P_NPAW point that ``shard=NUM_SHARDS`` splits over the pool;
+    its shard tasks are where ``shm@`` refuses the incumbent board."""
+    return [BatchJob(soc, 10, None)]
 
 
 @pytest.fixture
@@ -47,16 +56,17 @@ def plan_texts(tmp_path):
     """
     crash_at = SEED % len(WIDTHS)
     slow_at = (SEED + 1) % len(WIDTHS)
+    shard_at = SEED % NUM_SHARDS
     return {
         "crash": (
             f"seed={SEED},state={tmp_path / 'tok-crash'},"
             f"crash@{crash_at}"
         ),
-        "shm": f"seed={SEED},shm@{crash_at},shm@{slow_at}",
+        "shm": f"seed={SEED},shm@{shard_at}",
         "slow": f"seed={SEED},slow@{slow_at}=0.05",
         "combo": (
             f"seed={SEED},state={tmp_path / 'tok-combo'},"
-            f"crash@{crash_at},shm@{slow_at},slow@{slow_at}=0.05"
+            f"crash@{crash_at},shm@{shard_at},slow@{slow_at}=0.05"
         ),
     }
 
@@ -66,6 +76,9 @@ class TestEngineChaos:
         self, tiny_soc, tmp_path, no_ambient_faults
     ):
         healthy = BatchRunner(max_workers=2).run(grid_jobs(tiny_soc))
+        healthy_sharded = BatchRunner(
+            max_workers=2, shard=NUM_SHARDS
+        ).run(sharded_jobs(tiny_soc))
         for name, text in plan_texts(tmp_path).items():
             no_ambient_faults.setenv(FAULTS_ENV, text)
             runner = BatchRunner(max_workers=2)
@@ -73,12 +86,17 @@ class TestEngineChaos:
             assert chaotic == healthy, f"plan {name!r} changed results"
             if "crash@" in text:
                 assert runner.pool_restarts >= 1
+            sharded = BatchRunner(max_workers=2, shard=NUM_SHARDS)
+            assert sharded.run(sharded_jobs(tiny_soc)) == \
+                healthy_sharded, f"plan {name!r} changed sharded results"
+            assert sharded.jobs_sharded == 1
+            assert sharded.shm_fallbacks == int("shm@" in text)
 
     def test_inline_mode_survives_the_plans_too(
         self, tiny_soc, tmp_path, no_ambient_faults
     ):
-        # No pool to crash inline — but shm/slow directives still hit
-        # their hooks and must be harmless.
+        # No pool to crash and no board to refuse inline — but the
+        # slow directive still hits its hook, and none may matter.
         healthy = BatchRunner(max_workers=1).run(grid_jobs(tiny_soc))
         state = tmp_path / "tokens-inline"
         no_ambient_faults.setenv(
